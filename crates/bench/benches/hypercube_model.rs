@@ -1,5 +1,5 @@
-//! Criterion benchmark: the analytical hypercube model at parity-sweep
-//! scale.
+//! Criterion benchmark: the analytical model on the hypercube at
+//! parity-sweep scale.
 //!
 //! The star-vs-hypercube comparison runs model-only at `Q10`/`Q13` (the
 //! cubes matched to `S6`/`S7`); this bench pins the cost of a single solve
@@ -8,11 +8,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
-use star_core::blocking::{batch_blocking_delays, total_blocking_delay};
+use star_core::blocking::batch_blocking_delays;
 use star_core::occupancy::ChannelOccupancy;
-use star_core::{HypercubeConfig, HypercubeModel, HypercubeRouting, HypercubeSpectrum};
-use star_exec::spawn_ordered;
+use star_core::{ModelDiscipline, ModelParams, SpectrumModel, TraversalSpectrum};
 use star_workloads::{ModelBackend, Scenario, SweepRunner, SweepSpec};
 
 fn q10_rates() -> Vec<f64> {
@@ -22,62 +22,47 @@ fn q10_rates() -> Vec<f64> {
 
 fn bench_single_solves(c: &mut Criterion) {
     let mut group = c.benchmark_group("hypercube_model");
+    let params = ModelParams {
+        virtual_channels: 8,
+        message_length: 32,
+        traffic_rate: 0.008,
+        ..ModelParams::default()
+    };
+    let ecube = ModelParams { discipline: ModelDiscipline::Deterministic, ..params };
     for (dims, label) in [(10usize, "q10"), (13, "q13")] {
-        let config = HypercubeConfig::builder()
-            .dims(dims)
-            .virtual_channels(8)
-            .message_length(32)
-            .traffic_rate(0.008)
-            .build();
-        let model = HypercubeModel::new(config);
+        let spectrum = Arc::new(TraversalSpectrum::hypercube(dims));
+        let model = SpectrumModel::new(params, Arc::clone(&spectrum));
         group.bench_function(format!("{label}_v8_m32_solve"), |b| {
             b.iter(|| black_box(model.solve()));
         });
-        let ecube = HypercubeModel::new(HypercubeConfig {
-            routing: HypercubeRouting::DimensionOrder,
-            ..config
-        });
+        let ecube = SpectrumModel::new(ecube, spectrum);
         group.bench_function(format!("{label}_v8_m32_ecube_solve"), |b| {
             b.iter(|| black_box(ecube.solve()));
         });
     }
     group.bench_function("q13_spectrum_build", |b| {
-        b.iter(|| black_box(HypercubeSpectrum::new(13)));
+        b.iter(|| black_box(TraversalSpectrum::hypercube(13)));
     });
     // the per-destination parallelism pair at Q13 (byte-identical answers;
     // records the speedup of sharding the per-distance-class blocking sums
     // of every fixed-point iteration across the persistent pool)
-    let q13 = HypercubeConfig::builder()
-        .dims(13)
-        .virtual_channels(8)
-        .message_length(32)
-        .traffic_rate(0.008)
-        .build();
+    let spectrum = Arc::new(TraversalSpectrum::hypercube(13));
     for threads in [1usize, 2, 4] {
-        let model = HypercubeModel::new(q13).with_parallelism(threads);
+        let model = SpectrumModel::new(params, Arc::clone(&spectrum)).with_parallelism(threads);
         group.bench_function(format!("q13_v8_m32_solve_blocking_threads{threads}"), |b| {
             b.iter(|| black_box(model.solve()));
         });
     }
-    // pool vs the retired spawn-per-call baseline on one Q13 blocking batch
-    // (the work unit every fixed-point iteration repeats) — records the
-    // PR 4 spawn-per-step regression being fixed
-    let spectrum = HypercubeSpectrum::new(13);
+    // one Q13 blocking batch (the work unit every fixed-point iteration
+    // repeats) through the persistent pool
     let profiles: Vec<&star_graph::AdaptivityProfile> =
         spectrum.classes().iter().map(|c| &c.adaptive_profile).collect();
-    let split = q13.vc_split();
+    let split = params.vc_split(spectrum.diameter());
     let occupancy = ChannelOccupancy::new(0.004, 70.0, 8);
     for threads in [2usize, 4] {
         group.bench_function(format!("q13_blocking_batch_pool_threads{threads}"), |b| {
             b.iter(|| {
                 black_box(batch_blocking_delays(split, &occupancy, &profiles, 12.0, threads))
-            });
-        });
-        group.bench_function(format!("q13_blocking_batch_spawn_threads{threads}"), |b| {
-            b.iter(|| {
-                black_box(spawn_ordered(threads, &profiles, |_, profile| {
-                    total_blocking_delay(split, &occupancy, profile, 12.0)
-                }))
             });
         });
     }

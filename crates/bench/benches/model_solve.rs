@@ -9,26 +9,22 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use star_core::blocking::{batch_blocking_delays, total_blocking_delay, VcSplit};
+use star_core::blocking::{batch_blocking_delays, VcSplit};
 use star_core::occupancy::ChannelOccupancy;
-use star_core::{
-    AnalyticalModel, DestinationSpectrum, ModelConfig, ModelParams, ModelResult, SpectrumModel,
-    TraversalSpectrum,
-};
-use star_exec::spawn_ordered;
+use star_core::{ModelParams, SpectrumModel, SpectrumResult, TraversalSpectrum};
 use star_graph::Torus;
 
-fn config(symbols: usize, v: usize, rate: f64) -> ModelConfig {
-    ModelConfig::builder()
-        .symbols(symbols)
-        .virtual_channels(v)
-        .message_length(32)
-        .traffic_rate(rate)
-        .build()
+fn params(v: usize, rate: f64) -> ModelParams {
+    ModelParams {
+        virtual_channels: v,
+        message_length: 32,
+        traffic_rate: rate,
+        ..Default::default()
+    }
 }
 
-fn solve(symbols: usize, v: usize, rate: f64) -> ModelResult {
-    AnalyticalModel::new(config(symbols, v, rate)).solve()
+fn solve(symbols: usize, v: usize, rate: f64) -> SpectrumResult {
+    SpectrumModel::new(params(v, rate), Arc::new(TraversalSpectrum::star(symbols))).solve()
 }
 
 fn bench_model_solve(c: &mut Criterion) {
@@ -47,12 +43,12 @@ fn bench_model_solve(c: &mut Criterion) {
     // the per-destination parallelism pair: the same S7 solve with the
     // per-cycle-type blocking sums computed serially vs sharded across
     // the persistent pool (byte-identical answers; this records the
-    // speedup of the parallel path at the largest spectrum the star model
-    // ships, now that the pool removed the per-iteration spawn cost)
-    let spectrum = std::sync::Arc::new(DestinationSpectrum::new(7));
+    // speedup of the parallel path at the largest spectrum the paper's
+    // figures use)
+    let spectrum = Arc::new(TraversalSpectrum::star(7));
     for threads in [1usize, 2, 4] {
-        let model = AnalyticalModel::with_spectrum(config(7, 8, 0.004), Arc::clone(&spectrum))
-            .with_parallelism(threads);
+        let model =
+            SpectrumModel::new(params(8, 0.004), Arc::clone(&spectrum)).with_parallelism(threads);
         group.bench_function(format!("s7_v8_moderate_load_blocking_threads{threads}"), |b| {
             b.iter(|| black_box(model.solve()));
         });
@@ -60,15 +56,13 @@ fn bench_model_solve(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pool_vs_spawn(c: &mut Criterion) {
+fn bench_blocking_batch(c: &mut Criterion) {
     // one S7 blocking batch — the unit of work every fixed-point iteration
-    // repeats — through the persistent pool vs the retired spawn-per-call
-    // baseline.  PR 4 measured that spawn-per-step made this batch not
-    // worth parallelising; this pair records the regression being fixed
-    // (identical outputs, only the execution layer differs).
-    let spectrum = DestinationSpectrum::new(7);
+    // repeats — serial vs through the persistent pool (identical outputs,
+    // only the execution layer differs)
+    let spectrum = TraversalSpectrum::star(7);
     let profiles: Vec<&star_graph::AdaptivityProfile> =
-        spectrum.classes().iter().map(|c| &c.profile).collect();
+        spectrum.classes().iter().map(|c| &c.adaptive_profile).collect();
     let split = VcSplit { adaptive: 2, escape_levels: 6, bonus_cards: true };
     let occupancy = ChannelOccupancy::new(0.004, 60.0, 8);
     let mut group = c.benchmark_group("blocking_batch");
@@ -81,13 +75,6 @@ fn bench_pool_vs_spawn(c: &mut Criterion) {
                 black_box(batch_blocking_delays(split, &occupancy, &profiles, 12.0, threads))
             });
         });
-        group.bench_function(format!("s7_spawn_threads{threads}"), |b| {
-            b.iter(|| {
-                black_box(spawn_ordered(threads, &profiles, |_, profile| {
-                    total_blocking_delay(split, &occupancy, profile, 12.0)
-                }))
-            });
-        });
     }
     group.finish();
 }
@@ -95,18 +82,27 @@ fn bench_pool_vs_spawn(c: &mut Criterion) {
 fn bench_spectrum_and_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_components");
     group.bench_function("destination_spectrum_s5", |b| {
-        b.iter(|| black_box(DestinationSpectrum::new(5)));
+        b.iter(|| black_box(TraversalSpectrum::star(5)));
     });
     // per-destination parallelism of the spectrum build itself (path DAGs
     // per cycle type are independent)
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("destination_spectrum_s7_threads{threads}"), |b| {
-            b.iter(|| black_box(DestinationSpectrum::with_threads(7, threads)));
+            b.iter(|| black_box(TraversalSpectrum::star_with_threads(7, threads)));
         });
     }
     group.bench_function("sweep_reusing_spectrum_s5_v6_8pts", |b| {
+        let spectrum = Arc::new(TraversalSpectrum::star(5));
         let rates: Vec<f64> = (1..=8).map(|i| 0.0015 * i as f64).collect();
-        b.iter(|| black_box(star_core::sweep_traffic(config(5, 6, 0.001), &rates)));
+        b.iter(|| {
+            let mut seed: Vec<f64> = Vec::new();
+            for &rate in &rates {
+                let result =
+                    SpectrumModel::new(params(6, rate), Arc::clone(&spectrum)).solve_from(&seed);
+                seed = vec![result.mean_network_latency];
+                black_box(result);
+            }
+        });
     });
     // the generic-path pair: the one-off BFS distance census a new topology
     // plugin pays instead of a closed-form spectrum, and the spectrum-model
@@ -116,18 +112,12 @@ fn bench_spectrum_and_sweep(c: &mut Criterion) {
         b.iter(|| black_box(TraversalSpectrum::new(&torus)));
     });
     group.bench_function("t12_v8_moderate_load_spectrum_solve", |b| {
-        let params = ModelParams {
-            virtual_channels: 8,
-            message_length: 32,
-            traffic_rate: 0.004,
-            ..ModelParams::default()
-        };
         let spectrum = Arc::new(TraversalSpectrum::new(&Torus::new(12)));
-        let model = SpectrumModel::new(params, Arc::clone(&spectrum));
+        let model = SpectrumModel::new(params(8, 0.004), Arc::clone(&spectrum));
         b.iter(|| black_box(model.solve()));
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_model_solve, bench_spectrum_and_sweep, bench_pool_vs_spawn);
+criterion_group!(benches, bench_model_solve, bench_spectrum_and_sweep, bench_blocking_batch);
 criterion_main!(benches);

@@ -15,10 +15,9 @@
 //!
 //! `--topology` replays the same `V × M` grid on another family at its
 //! smoke size (`Q7`/`T8`/`R8`) — not a figure the paper has, but the same
-//! model-vs-sim cross-validation the figure performs, on a topology the
-//! closed-form star model never covered.  The curve ids (and so the CSV
-//! names) gain a `-<family>` suffix so the star figure is never
-//! overwritten.
+//! model-vs-sim cross-validation the figure performs, on another topology.
+//! The curve ids (and so the CSV names) gain a `-<family>` suffix so the
+//! star figure is never overwritten.
 //!
 //! Prints a Markdown table and an ASCII plot per curve and writes
 //! `target/experiments/<curve>.csv` (with `simulated_ci95`/`sim_replicates`

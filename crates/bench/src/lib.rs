@@ -53,8 +53,7 @@ pub fn pair_into_validation_rows(model: &SweepReport, sim: &SweepReport) -> Vec<
         .iter()
         .zip(&sim.estimates)
         .map(|(m, s)| {
-            // any analytical detail qualifies (closed-form star/hypercube or
-            // the generic spectrum) — only a simulated first report is a bug
+            // only a simulated first report is a bug
             assert!(m.sim_report().is_none(), "first report must be a model sweep");
             let scenario = &m.point.scenario;
             let row = ValidationRow {
@@ -73,9 +72,7 @@ pub fn pair_into_validation_rows(model: &SweepReport, sim: &SweepReport) -> Vec<
 
 /// The model-predicted saturation rate of a scenario, on any topology —
 /// the bisection the model-only harness binaries use to pick rate grids that
-/// cover the whole latency curve up to the knee.  Star and hypercube
-/// scenarios use the closed-form solvers; anything else goes through the
-/// generic [`star_core::TraversalSpectrum`].
+/// cover the whole latency curve up to the knee.
 ///
 /// # Panics
 /// Panics if the analytical model does not cover the scenario, or if the

@@ -29,9 +29,8 @@
 //! exact) — true of both the star graph and the binary hypercube — and all
 //! topology knowledge arrives pre-digested through the [`AdaptivityProfile`]
 //! (how many alternative ports each hop offers) and the [`VcSplit`] (how the
-//! discipline partitions the virtual channels).  The star model
-//! ([`crate::AnalyticalModel`]) and the hypercube model
-//! ([`crate::HypercubeModel`]) call these functions unchanged.
+//! discipline partitions the virtual channels).  [`crate::SpectrumModel`]
+//! calls these functions for every topology's spectrum.
 
 use star_graph::coloring::{negative_hops_after, negative_hops_remaining, Color};
 use star_graph::AdaptivityProfile;

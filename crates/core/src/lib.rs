@@ -25,68 +25,55 @@
 //!   fixed-point iteration over the circular dependency between `S̄` and the
 //!   waiting times.
 //!
-//! ## Derivation chain and topology split
+//! ## Derivation chain
 //!
-//! The modules compose in a fixed order — **config → spectrum → blocking →
-//! waiting → latency** — and the chain forks only at the spectrum:
+//! The modules compose in one fixed order — **params → spectrum → blocking
+//! → waiting → occupancy → latency** — for every topology; only the
+//! spectrum builder knows which network it is looking at:
 //!
-//! | stage | star `S_n` | hypercube `Q_d` | any [`star_graph::Topology`] | topology-agnostic? |
-//! |---|---|---|---|---|
-//! | config | [`config`] ([`ModelConfig`]) | [`hypercube`] ([`HypercubeConfig`]) | [`params`] ([`ModelParams`]) | shape yes, ranges no |
-//! | spectrum | [`adaptivity`] ([`DestinationSpectrum`], cycle types + path DAGs) | [`hypercube`] ([`HypercubeSpectrum`], binomial Hamming populations) | [`spectrum`] ([`TraversalSpectrum`], BFS census via `min_route_ports`) | the generic census makes it so |
-//! | blocking | [`blocking`] (Eqs. 6–11) | same module, unchanged | same module, unchanged | yes for any bipartite network |
-//! | waiting | [`waiting`] (Eqs. 12–16) | same module, unchanged | same module, unchanged | yes |
-//! | occupancy | [`occupancy`] (Eqs. 18–19) | same module, unchanged | same module, unchanged | yes |
-//! | latency | [`model`] ([`AnalyticalModel`]) | [`hypercube`] ([`HypercubeModel`]) | [`generic`] ([`SpectrumModel`]) | same fixed point, same solver |
+//! | stage | module | what it computes |
+//! |---|---|---|
+//! | params | [`params`] ([`ModelParams`]) | `V`, `M`, `λ_g`, discipline; [`ModelParams::validate_for`] derives the escape-level floor from the topology's diameter |
+//! | spectrum builder | [`spectrum`] ([`TraversalSpectrum::for_topology`]) | destination classes and per-hop adaptivity: closed-form cycle types on `S_n` ([`TraversalSpectrum::star`]), binomial Hamming populations on `Q_d` ([`TraversalSpectrum::hypercube`]), the BFS census over `min_route_ports` on any other [`star_graph::Topology`] ([`TraversalSpectrum::new`]) |
+//! | blocking | [`blocking`] | Eqs. 6–11, for any bipartite network |
+//! | waiting | [`waiting`] | Eqs. 12–16 |
+//! | occupancy | [`occupancy`] | Eqs. 18–19 |
+//! | latency | [`generic`] ([`SpectrumModel`], [`spectrum_saturation_rate`]) | Eq. 1 by damped fixed-point iteration; the saturation rate by bisection |
 //!
-//! The closed-form star and hypercube columns are retained as **oracles**:
-//! the generic [`TraversalSpectrum`] reproduces both bit-identically (exact
+//! The closed-form spectra and the BFS census agree bit for bit (exact
 //! `u128` path counts, one final division), which the `spectrum` module's
-//! tests pin down.  New topologies (e.g. [`star_graph::Torus`] /
-//! [`star_graph::Ring`]) only implement the [`star_graph::Topology`] trait
-//! and go through the generic column.  Each module's docs state which side
-//! of this split it sits on.
+//! tests pin down; the closed forms exist because they are an order of
+//! magnitude cheaper to build.  New topologies (e.g. [`star_graph::Torus`] /
+//! [`star_graph::Ring`]) only implement the [`star_graph::Topology`] trait.
 //!
 //! ```
-//! use star_core::{AnalyticalModel, ModelConfig};
+//! use std::sync::Arc;
+//! use star_core::{spectrum_saturation_rate, ModelParams, SpectrumModel, TraversalSpectrum};
+//! use star_graph::StarGraph;
 //!
-//! let config = ModelConfig::builder()
-//!     .symbols(5)            // S5: 120 nodes, the network of Figure 1
-//!     .virtual_channels(6)
-//!     .message_length(32)
-//!     .traffic_rate(0.004)
-//!     .build();
-//! let result = AnalyticalModel::new(config).solve();
+//! // S5: 120 nodes, the network of Figure 1, with V = 6 and M = 32
+//! let spectrum = Arc::new(TraversalSpectrum::for_topology(&StarGraph::new(5)));
+//! let params = ModelParams { virtual_channels: 6, message_length: 32, ..Default::default() };
+//! let result = SpectrumModel::new(params.with_rate(0.004), Arc::clone(&spectrum)).solve();
 //! assert!(!result.saturated);
 //! // latency is above the zero-load bound M + d̄ and finite below saturation
 //! assert!(result.mean_latency > 32.0 + 3.5);
+//! // the knee of the latency curve lies above the solved rate
+//! assert!(spectrum_saturation_rate(params, &spectrum, 0.02) > 0.004);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptivity;
 pub mod blocking;
-pub mod config;
 pub mod generic;
-pub mod hypercube;
-pub mod model;
 pub mod occupancy;
 pub mod params;
 pub mod spectrum;
-pub mod sweep;
 pub mod validation;
 pub mod waiting;
 
-pub use adaptivity::{DestinationClass, DestinationSpectrum};
-pub use config::{ConfigError, ModelConfig, ModelConfigBuilder, RoutingDiscipline};
 pub use generic::{spectrum_saturation_rate, SpectrumModel, SpectrumResult};
-pub use hypercube::{
-    hypercube_saturation_rate, HypercubeClass, HypercubeConfig, HypercubeConfigBuilder,
-    HypercubeConfigError, HypercubeModel, HypercubeResult, HypercubeRouting, HypercubeSpectrum,
-};
-pub use model::{AnalyticalModel, ModelResult};
 pub use params::{ModelDiscipline, ModelParams, ModelParamsError};
 pub use spectrum::{TraversalClass, TraversalSpectrum};
-pub use sweep::{saturation_rate, sweep_traffic, sweep_traffic_cold, SweepPoint};
 pub use validation::ValidationRow;

@@ -12,8 +12,8 @@
 //!
 //! **Topology split:** fully topology-agnostic — the occupancy chain is a
 //! property of one physical channel (its arrival rate, service time and `V`),
-//! not of the network around it.  Both the star and the hypercube model call
-//! it unchanged.
+//! not of the network around it.  [`crate::SpectrumModel`] calls it for
+//! every topology.
 
 use star_queueing::markov::vc_occupancy_distribution;
 

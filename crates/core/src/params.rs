@@ -1,36 +1,30 @@
-//! Unified model parameters that pair with a topology value instead of a
-//! per-topology config struct.
+//! Model parameters: the four knobs that pair with a topology value.
 //!
-//! [`crate::ModelConfig`] (star) and [`crate::HypercubeConfig`] (hypercube)
-//! bundle the *same* four knobs — virtual channels `V`, message length `M`,
-//! traffic rate `λ_g`, routing discipline — with a topology-specific size
-//! field and topology-specific validation ranges.  [`ModelParams`] keeps only
-//! the four knobs; the topology arrives separately as `&dyn Topology`, and
-//! [`ModelParams::validate_for`] derives the requirements (escape-level
-//! minimum `⌊diameter/2⌋ + 1`, size ranges) from the topology itself,
-//! delegating to the closed-form validators when the topology is a star graph
-//! or hypercube so the error messages stay identical.
+//! [`ModelParams`] holds virtual channels `V`, message length `M`, traffic
+//! rate `λ_g` and the routing discipline; the topology arrives separately as
+//! `&dyn Topology` (or as its [`crate::TraversalSpectrum`]), and
+//! [`ModelParams::validate_for`] derives the requirements — the escape-level
+//! minimum `⌊diameter/2⌋ + 1` and the size ranges the model admits for the
+//! star graph and hypercube — from the topology itself.
 
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use star_graph::coloring::max_negative_hops;
 use star_graph::{Hypercube, StarGraph, Topology};
 
 use crate::blocking::VcSplit;
-use crate::config::{ConfigError, ModelConfig, RoutingDiscipline};
-use crate::hypercube::{HypercubeConfig, HypercubeConfigError, HypercubeRouting};
 
 /// Which routing scheme the model evaluates, across every topology.
 ///
-/// The three adaptive variants are the star paper's negative-hop disciplines
-/// ([`RoutingDiscipline`]); `Deterministic` is the dimension-order style
-/// baseline (one admissible output port and one admissible virtual channel
-/// per hop), which the closed-form star model does not cover but the
-/// hypercube model ([`HypercubeRouting::DimensionOrder`]) and the generic
-/// [`crate::SpectrumModel`] do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// The paper derives the model for Enhanced-Nbc and notes that "the modelling
+/// approach used here can be equally applied for other routing schemes after
+/// few changes"; the other variants implement exactly those changes — they
+/// differ only in how the virtual channels of a physical channel are split,
+/// how many of them a header may request on one hop, and (for
+/// `Deterministic`, the dimension-order style baseline) how many output
+/// ports it may request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ModelDiscipline {
     /// Minimal escape levels plus fully adaptive class-a channels, with
     /// bonus cards on the escape levels (the paper's algorithm).
@@ -60,39 +54,23 @@ impl ModelDiscipline {
     pub fn bonus_cards(self) -> bool {
         matches!(self, ModelDiscipline::EnhancedNbc | ModelDiscipline::Nbc)
     }
-
-    /// The star-model discipline, if the closed-form star model covers this
-    /// scheme (it has no deterministic variant).
-    #[must_use]
-    pub fn star_discipline(self) -> Option<RoutingDiscipline> {
-        match self {
-            ModelDiscipline::EnhancedNbc => Some(RoutingDiscipline::EnhancedNbc),
-            ModelDiscipline::Nbc => Some(RoutingDiscipline::Nbc),
-            ModelDiscipline::NHop => Some(RoutingDiscipline::NHop),
-            ModelDiscipline::Deterministic => None,
-        }
-    }
-
-    /// The hypercube-model routing scheme (every discipline is covered;
-    /// `Deterministic` maps to dimension-order e-cube routing).
-    #[must_use]
-    pub fn hypercube_routing(self) -> HypercubeRouting {
-        match self {
-            ModelDiscipline::EnhancedNbc => HypercubeRouting::EnhancedNbc,
-            ModelDiscipline::Nbc => HypercubeRouting::Nbc,
-            ModelDiscipline::NHop => HypercubeRouting::NHop,
-            ModelDiscipline::Deterministic => HypercubeRouting::DimensionOrder,
-        }
-    }
 }
 
 /// Why a [`ModelParams`] / topology pairing is invalid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ModelParamsError {
-    /// The star-graph validator rejected the pairing.
-    Star(ConfigError),
-    /// The hypercube validator rejected the pairing.
-    Hypercube(HypercubeConfigError),
+    /// The network is outside the size range the model admits for its
+    /// family (`S_3 … S_9`, `Q_2 … Q_24`).
+    UnsupportedSize {
+        /// The family's name prefix (`'S'` or `'Q'`).
+        family: char,
+        /// The rejected size (symbols or dimensions).
+        size: usize,
+        /// The smallest admitted size.
+        min: usize,
+        /// The largest admitted size.
+        max: usize,
+    },
     /// Messages must be at least one flit long.
     ZeroLengthMessage,
     /// The traffic generation rate is negative, NaN or infinite.
@@ -114,8 +92,9 @@ pub enum ModelParamsError {
 impl fmt::Display for ModelParamsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            ModelParamsError::Star(e) => e.fmt(f),
-            ModelParamsError::Hypercube(e) => e.fmt(f),
+            ModelParamsError::UnsupportedSize { family, size, min, max } => {
+                write!(f, "the model supports {family}_{min} … {family}_{max}, got {family}_{size}")
+            }
             ModelParamsError::ZeroLengthMessage => write!(f, "messages need at least one flit"),
             ModelParamsError::InvalidTrafficRate { rate } => {
                 write!(f, "traffic rate must be finite and non-negative, got {rate}")
@@ -144,7 +123,7 @@ impl Error for ModelParamsError {}
 /// `V`, message length `M`, traffic generation rate `λ_g` and the routing
 /// discipline.  Pair with a [`Topology`] (or a
 /// [`crate::TraversalSpectrum`]) to evaluate the model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Virtual channels `V` per physical channel.
     pub virtual_channels: usize,
@@ -248,56 +227,26 @@ impl ModelParams {
         Ok(())
     }
 
-    /// Validates the pairing of these parameters with a topology, delegating
-    /// to the closed-form validators when the topology is a [`StarGraph`] or
-    /// [`Hypercube`] (so their size-range checks and error messages apply)
-    /// and to [`Self::try_validate_generic`] otherwise.
-    ///
-    /// A star graph with the deterministic discipline validates generically:
-    /// the closed-form star model has no deterministic variant, but the
-    /// generic spectrum model covers it.
+    /// Validates the pairing of these parameters with a topology: the size
+    /// range for a [`StarGraph`] (`S_3 … S_9`) or [`Hypercube`]
+    /// (`Q_2 … Q_24`), then [`Self::try_validate_generic`] against the
+    /// topology's diameter.
     ///
     /// # Errors
     /// Returns a [`ModelParamsError`] describing the first violation.
     pub fn validate_for(&self, topology: &dyn Topology) -> Result<(), ModelParamsError> {
-        if let Some(star) = topology.as_any().downcast_ref::<StarGraph>() {
-            if let Some(config) = self.star_config(star.symbols()) {
-                return config.try_validate().map_err(ModelParamsError::Star);
+        let any = topology.as_any();
+        let range = if let Some(star) = any.downcast_ref::<StarGraph>() {
+            Some(('S', star.symbols(), 3, 9))
+        } else {
+            any.downcast_ref::<Hypercube>().map(|cube| ('Q', cube.dims(), 2, Hypercube::MAX_DIMS))
+        };
+        if let Some((family, size, min, max)) = range {
+            if !(min..=max).contains(&size) {
+                return Err(ModelParamsError::UnsupportedSize { family, size, min, max });
             }
-        } else if let Some(cube) = topology.as_any().downcast_ref::<Hypercube>() {
-            return self
-                .hypercube_config(cube.dims())
-                .try_validate()
-                .map_err(ModelParamsError::Hypercube);
         }
         self.try_validate_generic(topology.diameter())
-    }
-
-    /// The closed-form star configuration for `S_n`, if the star model
-    /// covers this discipline (not validated — pair with
-    /// [`ModelConfig::try_validate`]).
-    #[must_use]
-    pub fn star_config(&self, symbols: usize) -> Option<ModelConfig> {
-        Some(ModelConfig {
-            symbols,
-            virtual_channels: self.virtual_channels,
-            message_length: self.message_length,
-            traffic_rate: self.traffic_rate,
-            discipline: self.discipline.star_discipline()?,
-        })
-    }
-
-    /// The closed-form hypercube configuration for `Q_d` (not validated —
-    /// pair with [`HypercubeConfig::try_validate`]).
-    #[must_use]
-    pub fn hypercube_config(&self, dims: usize) -> HypercubeConfig {
-        HypercubeConfig {
-            dims,
-            virtual_channels: self.virtual_channels,
-            message_length: self.message_length,
-            traffic_rate: self.traffic_rate,
-            routing: self.discipline.hypercube_routing(),
-        }
     }
 }
 
@@ -320,34 +269,50 @@ mod tests {
     }
 
     #[test]
-    fn star_validation_delegates_to_the_closed_form() {
+    fn star_validation_applies_the_size_range_and_the_level_floor() {
         let star = StarGraph::new(5);
         assert!(params(6).validate_for(&star).is_ok());
-        // V = 4 fails with the star validator's error, not the generic one
+        // S5: diameter 6 → 4 levels → Enhanced-Nbc needs V ≥ 5
         assert_eq!(
             params(4).validate_for(&star),
-            Err(ModelParamsError::Star(ConfigError::TooFewVirtualChannels {
-                discipline: RoutingDiscipline::EnhancedNbc,
-                symbols: 5,
+            Err(ModelParamsError::TooFewVirtualChannels {
+                discipline: ModelDiscipline::EnhancedNbc,
                 required_levels: 4,
                 got: 4,
-            }))
+            })
         );
-        let msg = params(4).validate_for(&star).unwrap_err().to_string();
-        assert!(msg.contains("Enhanced-Nbc on S_5"), "delegated message: {msg}");
+        // S2 is a tabled topology but outside the model's range
+        let err = params(6).validate_for(&StarGraph::new(2)).unwrap_err();
+        assert_eq!(err, ModelParamsError::UnsupportedSize { family: 'S', size: 2, min: 3, max: 9 });
+        assert_eq!(err.to_string(), "the model supports S_3 … S_9, got S_2");
+        // the deterministic discipline validates like any other: V = 4
+        // covers the 4 levels S5 needs
+        let det = ModelParams { discipline: ModelDiscipline::Deterministic, ..params(4) };
+        assert!(det.validate_for(&star).is_ok());
     }
 
     #[test]
-    fn hypercube_validation_delegates_to_the_closed_form() {
+    fn hypercube_validation_applies_the_size_range_and_the_level_floor() {
         let cube = Hypercube::new(10);
         assert!(params(8).validate_for(&cube).is_ok());
-        let err = params(6).validate_for(&cube).unwrap_err();
-        assert!(matches!(err, ModelParamsError::Hypercube(_)));
-        assert!(err.to_string().contains("Q_10"));
-        // the deterministic discipline maps to dimension-order and accepts
-        // V == required levels
+        // Q10: diameter 10 → 6 levels
+        assert_eq!(
+            params(6).validate_for(&cube),
+            Err(ModelParamsError::TooFewVirtualChannels {
+                discipline: ModelDiscipline::EnhancedNbc,
+                required_levels: 6,
+                got: 6,
+            })
+        );
+        // the escape-only schemes accept V == required levels
         let det = ModelParams { discipline: ModelDiscipline::Deterministic, ..params(6) };
         assert!(det.validate_for(&cube).is_ok());
+        let nhop = ModelParams { discipline: ModelDiscipline::NHop, ..params(5) };
+        assert!(nhop.validate_for(&cube).is_err());
+        assert_eq!(
+            params(6).validate_for(&Hypercube::new(1)),
+            Err(ModelParamsError::UnsupportedSize { family: 'Q', size: 1, min: 2, max: 24 })
+        );
     }
 
     #[test]
@@ -370,56 +335,33 @@ mod tests {
     }
 
     #[test]
-    fn generic_validation_rejects_bad_messages_and_rates() {
-        let torus = Torus::new(8);
-        let zero = ModelParams { message_length: 0, ..params(8) };
-        assert_eq!(zero.validate_for(&torus), Err(ModelParamsError::ZeroLengthMessage));
-        let nan = ModelParams { traffic_rate: f64::NAN, ..params(8) };
-        assert!(matches!(
-            nan.validate_for(&torus),
-            Err(ModelParamsError::InvalidTrafficRate { .. })
-        ));
-    }
-
-    #[test]
-    fn star_deterministic_falls_back_to_generic_validation() {
-        let star = StarGraph::new(5);
-        let det = ModelParams { discipline: ModelDiscipline::Deterministic, ..params(4) };
-        assert!(det.star_config(5).is_none(), "no closed-form star deterministic model");
-        assert!(det.validate_for(&star).is_ok(), "V = 4 covers the 4 levels S5 needs");
-    }
-
-    #[test]
-    fn vc_split_matches_the_per_topology_configs() {
-        let p = params(6);
-        let star_cfg = p.star_config(5).unwrap();
-        let split = p.vc_split(star_cfg.diameter());
-        assert_eq!(split.adaptive, star_cfg.adaptive_channels());
-        assert_eq!(split.escape_levels, star_cfg.escape_levels());
-        assert_eq!(split.bonus_cards, star_cfg.bonus_cards());
-        let cube_cfg = params(8).hypercube_config(10);
-        let split = params(8).vc_split(cube_cfg.diameter());
-        assert_eq!(split.adaptive, cube_cfg.adaptive_channels());
-        assert_eq!(split.escape_levels, cube_cfg.escape_levels());
-        assert_eq!(split.bonus_cards, cube_cfg.bonus_cards());
-    }
-
-    #[test]
-    fn discipline_mappings_round_trip() {
-        for d in [
-            ModelDiscipline::EnhancedNbc,
-            ModelDiscipline::Nbc,
-            ModelDiscipline::NHop,
-            ModelDiscipline::Deterministic,
-        ] {
-            assert_eq!(d.is_adaptive(), d.hypercube_routing().is_adaptive());
-            if let Some(star) = d.star_discipline() {
-                assert_eq!(format!("{star:?}"), format!("{d:?}"));
-            }
+    fn validation_rejects_bad_messages_and_rates() {
+        for topology in [&Torus::new(8) as &dyn Topology, &StarGraph::new(5), &Hypercube::new(7)] {
+            let zero = ModelParams { message_length: 0, ..params(8) };
+            assert_eq!(zero.validate_for(topology), Err(ModelParamsError::ZeroLengthMessage));
+            let nan = ModelParams { traffic_rate: f64::NAN, ..params(8) };
+            assert!(matches!(
+                nan.validate_for(topology),
+                Err(ModelParamsError::InvalidTrafficRate { .. })
+            ));
         }
-        assert!(!ModelDiscipline::NHop.bonus_cards());
-        assert!(!ModelDiscipline::Deterministic.bonus_cards());
+    }
+
+    #[test]
+    fn vc_split_follows_the_discipline() {
+        // S5 (diameter 6): 4 escape levels
+        let split = params(6).vc_split(6);
+        assert_eq!((split.adaptive, split.escape_levels, split.bonus_cards), (2, 4, true));
+        let nbc = ModelParams { discipline: ModelDiscipline::Nbc, ..params(6) }.vc_split(6);
+        assert_eq!((nbc.adaptive, nbc.escape_levels, nbc.bonus_cards), (0, 6, true));
+        let nhop = ModelParams { discipline: ModelDiscipline::NHop, ..params(4) }.vc_split(6);
+        assert_eq!((nhop.adaptive, nhop.escape_levels, nhop.bonus_cards), (0, 4, false));
+        // Q10 / Q13: 6 and 7 escape levels
+        assert_eq!(params(8).vc_split(10).adaptive, 2);
+        assert_eq!(params(8).vc_split(13).escape_levels, 7);
         assert!(ModelDiscipline::Nbc.bonus_cards());
+        assert!(!ModelDiscipline::Deterministic.bonus_cards());
+        assert!(!ModelDiscipline::Deterministic.is_adaptive());
     }
 
     #[test]
@@ -436,6 +378,8 @@ mod tests {
             got: 2,
         };
         assert_eq!(err.to_string(), "Deterministic needs at least 3 virtual channels, got 2");
+        let err = ModelParamsError::UnsupportedSize { family: 'Q', size: 30, min: 2, max: 24 };
+        assert_eq!(err.to_string(), "the model supports Q_2 … Q_24, got Q_30");
         let boxed: Box<dyn std::error::Error> = Box::new(ModelParamsError::ZeroLengthMessage);
         assert_eq!(boxed.to_string(), "messages need at least one flit");
     }

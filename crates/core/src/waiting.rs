@@ -10,7 +10,7 @@
 //!
 //! **Topology split:** fully topology-agnostic — the queues only see rates
 //! and service times; which network produced them never enters Eqs. 12-16.
-//! Both the star and the hypercube model call these functions unchanged.
+//! [`crate::SpectrumModel`] calls these functions for every topology.
 
 use star_queueing::mg1::mg1_waiting_time_min_service;
 

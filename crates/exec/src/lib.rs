@@ -2,7 +2,7 @@
 //!
 //! The shared execution layer of the star-wormhole workspace: one
 //! [`ExecPool`] of persistent workers behind every parallel path
-//! (`SweepRunner` sweep sharding, the analytical models' per-iteration
+//! (`SweepRunner` sweep sharding, the analytical model's per-iteration
 //! blocking sums, the destination-spectrum build), plus the
 //! [`shard`] machinery that splits one run's work list across processes
 //! and merges the partial CSVs back together.
@@ -17,9 +17,7 @@
 //! spectra: the spawn/join cost dominates the microseconds of useful work.
 //! [`ExecPool`] spawns its workers once and reuses them for every batch, so
 //! opting a solve into parallelism costs a queue push per batch instead of
-//! a thread spawn per iteration.  The `model_solve`/`hypercube_model`
-//! benches record the pool-vs-spawn delta (see [`spawn_ordered`], the
-//! spawn-per-call baseline kept exactly for that comparison).
+//! a thread spawn per iteration.
 //!
 //! ## The determinism contract
 //!
@@ -61,5 +59,5 @@
 pub mod pool;
 pub mod shard;
 
-pub use pool::{spawn_ordered, ExecPool};
+pub use pool::ExecPool;
 pub use shard::{merge_shard_csvs, MergeError, RunFingerprint, ShardParseError, ShardSpec};

@@ -69,6 +69,10 @@ impl std::fmt::Debug for ExecPool {
 impl ExecPool {
     /// Spawns a pool with the given number of persistent workers; `0` means
     /// one worker per available hardware thread.
+    ///
+    /// Returns only once every worker is running under its `star-exec-{i}`
+    /// name, so a caller (or an observer listing the process's threads)
+    /// never sees a half-started pool.
     #[must_use]
     pub fn new(workers: usize) -> Self {
         let workers = if workers > 0 { workers } else { hardware_threads() };
@@ -76,15 +80,30 @@ impl ExecPool {
             queue: Mutex::new(PoolQueue { jobs: VecDeque::new(), shutdown: false }),
             job_ready: Condvar::new(),
         });
+        // start latch: each worker checks in from its own thread, after the
+        // runtime has applied the thread name
+        let started = Arc::new((Mutex::new(0usize), Condvar::new()));
         let handles = (0..workers)
             .map(|i| {
                 let state = Arc::clone(&state);
+                let started = Arc::clone(&started);
                 thread::Builder::new()
                     .name(format!("star-exec-{i}"))
-                    .spawn(move || worker_loop(&state))
+                    .spawn(move || {
+                        *started.0.lock().expect("start latch poisoned") += 1;
+                        started.1.notify_one();
+                        drop(started);
+                        worker_loop(&state);
+                    })
                     .expect("spawning a pool worker must succeed")
             })
             .collect();
+        let (count, all_started) = &*started;
+        let mut count = count.lock().expect("start latch poisoned");
+        while *count < workers {
+            count = all_started.wait(count).expect("start latch poisoned");
+        }
+        drop(count);
         Self { state, workers, handles }
     }
 
@@ -378,48 +397,6 @@ unsafe fn run_batch<I: Sync, T: Send, F: Fn(usize, &I) -> T + Sync>(ctx: *const 
     ctx.run();
 }
 
-/// The spawn-per-call baseline [`ExecPool::run_ordered`] replaced: the same
-/// ordered-map semantics (identical outputs, same width convention with
-/// `0` = all available parallelism) implemented by spawning fresh scoped
-/// threads for every call.
-///
-/// Kept **only** so the `model_solve`/`hypercube_model` benches can record
-/// the pool-vs-spawn delta that motivated the persistent pool; production
-/// code paths all use the pool.
-///
-/// # Panics
-/// Propagates panics from `f` (via the scoped join).
-#[must_use]
-pub fn spawn_ordered<I, T, F>(width: usize, items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let width = if width > 0 {
-        width
-    } else {
-        thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    };
-    let workers = width.min(items.len()).max(1);
-    if workers == 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let indexed: Vec<(usize, &I)> = items.iter().enumerate().collect();
-    let f = &f;
-    thread::scope(|scope| {
-        let handles: Vec<_> = indexed
-            .chunks(chunk)
-            .map(|chunk| {
-                scope.spawn(move || chunk.iter().map(|&(i, item)| f(i, item)).collect::<Vec<T>>())
-            })
-            .collect();
-        // joining in spawn order restores item order
-        handles.into_iter().flat_map(|h| h.join().expect("spawned worker panicked")).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,8 +410,6 @@ mod tests {
         for width in [0usize, 1, 2, 3, 4, 7, 200] {
             assert_eq!(pool.run_ordered(width, &items, |_, &i| i * i), expect, "width {width}");
         }
-        assert_eq!(spawn_ordered(3, &items, |_, &i| i * i), expect);
-        assert_eq!(spawn_ordered(0, &items, |_, &i| i * i), expect);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //!   configurable ceiling), which the model reports as "saturated" rather
 //!   than looping forever.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a fixed-point solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FixedPointOutcome {
     /// Converged to the contained state within tolerance.
     Converged {
@@ -65,7 +63,7 @@ impl FixedPointOutcome {
 }
 
 /// Configuration for a damped fixed-point iteration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FixedPointSolver {
     /// Damping factor `α` in `(0, 1]`: 1 is plain iteration, smaller is more
     /// heavily damped.

@@ -12,8 +12,6 @@
 //! tests to confirm that the closed form of Eq. 18 is indeed the steady state
 //! of the chain described in the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Steady-state distribution of the number of busy virtual channels at a
 /// physical channel with `v_max` virtual channels (Eq. 18):
 ///
@@ -61,7 +59,7 @@ pub fn multiplexing_degree(occupancy: &[f64]) -> f64 {
 
 /// A finite birth–death Markov chain with state-dependent birth rates
 /// `λ_v` (state `v → v+1`) and death rates `μ_v` (state `v → v-1`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BirthDeathChain {
     /// Birth rate out of each state `0..states-1` (last state has none).
     birth_rates: Vec<f64>,

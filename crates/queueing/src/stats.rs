@@ -9,8 +9,6 @@
 //! [`Histogram`] records integer-valued samples (latencies in cycles) for
 //! distribution plots.
 
-use serde::{Deserialize, Serialize};
-
 /// Two-sided 95% Student-t quantile (`t_{0.975, df}`) for the given degrees
 /// of freedom, from the standard table; degrees of freedom beyond the table
 /// fall back to coarser rows and finally the normal quantile 1.96.
@@ -47,7 +45,7 @@ pub fn student_t_975(degrees_of_freedom: u64) -> f64 {
 /// point.  A single replicate (or a deterministic backend such as the
 /// analytical model) yields a degenerate interval of zero width, which keeps
 /// one report schema across backends.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicateStats {
     /// Number of replicates summarised.
     pub replicates: u64,
@@ -129,7 +127,7 @@ impl ReplicateStats {
 }
 
 /// Numerically stable running mean/variance accumulator (Welford's method).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -242,7 +240,7 @@ impl RunningStats {
 /// Batch-means estimator for steady-state simulation output: samples are
 /// grouped into fixed-size batches and the batch means are treated as
 /// (approximately independent) observations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchMeans {
     batch_size: u64,
     current_sum: f64,
@@ -305,7 +303,7 @@ impl BatchMeans {
 
 /// Fixed-bin histogram over non-negative integer samples (e.g. message
 /// latencies in cycles); samples beyond the last bin are clamped into it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     bin_width: u64,
     bins: Vec<u64>,

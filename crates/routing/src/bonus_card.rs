@@ -10,14 +10,13 @@
 //! level it climbs.  Deadlock freedom is preserved because the level is
 //! non-decreasing along a path and bounded by the top level.
 
-use serde::{Deserialize, Serialize};
 use star_graph::{coloring, NodeId, Topology};
 
 use crate::traits::MessageRoutingState;
 
 /// Computes the admissible escape-level window for a hop under the bonus-card
 /// rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BonusCardPolicy {
     /// Number of escape levels available per physical channel.
     pub levels: usize,

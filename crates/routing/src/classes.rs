@@ -7,10 +7,8 @@
 //! network of diameter `H`; 4 levels for `S5`) and turns every remaining
 //! virtual channel into a fully adaptive class-a channel.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a single virtual channel within a physical channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VcClass {
     /// Fully adaptive class-a channel (Enhanced-Nbc only).
     Adaptive,
@@ -23,7 +21,7 @@ pub enum VcClass {
 ///
 /// Virtual-channel indices `0..adaptive` are class-a; index `adaptive + l` is
 /// the escape channel of level `l`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VirtualChannelLayout {
     /// Number of fully adaptive (class-a) virtual channels.
     pub adaptive: usize,

@@ -1,14 +1,13 @@
 //! The [`RoutingAlgorithm`] trait and the per-message routing state the
 //! algorithms consume.
 
-use serde::{Deserialize, Serialize};
 use star_graph::{HopSign, NodeId, Topology};
 
 use crate::classes::VirtualChannelLayout;
 
 /// Per-message state a routing algorithm may consult.  The simulator updates
 /// it whenever a header flit acquires a new channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MessageRoutingState {
     /// Hops taken so far (0 at the source).
     pub hops_taken: usize,
@@ -51,7 +50,7 @@ impl MessageRoutingState {
 
 /// One admissible `(output port, virtual channel)` pair returned by a routing
 /// algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CandidateVc {
     /// Output port (`0..topology.degree()`).
     pub port: usize,

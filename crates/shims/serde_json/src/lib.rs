@@ -7,9 +7,7 @@
 //! one runtime surface: a [`Value`] tree, [`from_str`] to decode a line and
 //! [`to_string`] / [`Value`]'s `Display` to encode one.  This crate
 //! implements that surface — and nothing more — API-compatible with the
-//! real `serde_json` so the swap documented in the workspace manifest stays
-//! a one-line change (the sibling `serde` shim covers the derive macros the
-//! same way).
+//! real `serde_json` for the calls the workspace makes.
 //!
 //! Two deliberate deviations from the real crate, both in the direction the
 //! wire protocol needs:

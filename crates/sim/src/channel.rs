@@ -9,11 +9,10 @@
 //! channel state.
 
 use crate::message::MessageId;
-use serde::{Deserialize, Serialize};
 
 /// Receiving side of a virtual channel: the flit buffer at the downstream
 /// router input (or an injection slot when the "upstream" is the local PE).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct InputVc {
     /// Message currently occupying the channel.
     pub owner: Option<MessageId>,
@@ -56,7 +55,7 @@ impl InputVc {
 
 /// Sending side of a virtual channel: ownership and credit state at the
 /// upstream router output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OutputVc {
     /// Message currently owning the channel.
     pub owner: Option<MessageId>,

@@ -1,10 +1,8 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Policy used to pick one admissible free virtual channel when a header has
 /// several to choose from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionPolicy {
     /// Prefer fully adaptive (class-a) channels, breaking ties uniformly at
     /// random; fall back to the lowest admissible escape level.  This is the
@@ -23,7 +21,7 @@ pub enum SelectionPolicy {
 /// Both engines implement the identical per-cycle router semantics and are
 /// pinned byte-identical on every report field by `tests/sim_equivalence.rs`;
 /// they differ only in how they find the work of a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimCore {
     /// The legacy reference engine: every channel of every node is scanned
     /// every cycle, so cost scales with network size.
@@ -56,7 +54,7 @@ impl SimCore {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Message length `M` in flits.
     pub message_length: usize,

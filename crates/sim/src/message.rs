@@ -1,6 +1,5 @@
 //! Messages and their lifecycle bookkeeping.
 
-use serde::{Deserialize, Serialize};
 use star_graph::NodeId;
 use star_routing::MessageRoutingState;
 
@@ -8,7 +7,7 @@ use star_routing::MessageRoutingState;
 pub type MessageId = u64;
 
 /// A message in flight (or waiting in a source queue).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Message {
     /// Identifier, unique within a simulation run.
     pub id: MessageId,

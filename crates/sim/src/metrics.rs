@@ -9,14 +9,13 @@
 //! [`ReplicateReport::from_runs`] folds R runs into across-replicate means
 //! with Student-t 95% confidence intervals.
 
-use serde::{Deserialize, Serialize};
 use star_queueing::{ReplicateStats, RunningStats};
 
 use crate::config::SimConfig;
 use crate::network::{NetworkCounters, StageSkips};
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Topology name (e.g. `"S5"`).
     pub topology: String,
@@ -152,7 +151,7 @@ pub struct RunOutcome {
 /// conservative rule that keeps the flag deterministic regardless of how the
 /// replicates were scheduled — and the statistics then summarise only the
 /// replicates that produced a finite measurement (possibly none).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicateReport {
     /// The per-replicate reports, in replicate-index order.
     pub runs: Vec<SimReport>,

@@ -26,7 +26,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
-use serde::{Deserialize, Serialize};
 use star_graph::{NodeId, Topology};
 use star_queueing::sampling::{seeded_rng, PoissonProcess};
 use star_routing::RoutingAlgorithm;
@@ -57,7 +56,7 @@ struct StagedArrival {
 /// *every* stage is empty (a fully idle network) count nothing: the event
 /// engine fast-forwards over them while the ticking engine burns them, and
 /// the contract must not see the difference.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageSkips {
     /// Active cycles with no source arrival due (`generate_messages` empty).
     pub generation: u64,

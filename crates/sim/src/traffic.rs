@@ -5,11 +5,10 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use star_graph::{NodeId, Topology};
 
 /// Destination selection pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TrafficPattern {
     /// Destinations uniformly distributed over all other nodes (the paper's
     /// assumption (a)).

@@ -9,10 +9,9 @@
 //! has taken exactly `i` negative hops so far.
 
 use crate::permutation::Permutation;
-use serde::{Deserialize, Serialize};
 
 /// Colour class of a node in the 2-colouring of the (bipartite) star graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Color {
     /// Even permutations (label 0).
     Zero,
@@ -51,7 +50,7 @@ impl Color {
 }
 
 /// Sign of a hop in the negative-hop scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HopSign {
     /// Hop from a higher-labelled node to a lower-labelled node.
     Negative,

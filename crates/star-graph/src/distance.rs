@@ -16,7 +16,6 @@
 
 use crate::permutation::Permutation;
 use crate::{factorial, MAX_SYMBOLS};
-use serde::{Deserialize, Serialize};
 
 /// A star-graph node *type*: the multiset of non-trivial cycle lengths of the
 /// permutation (relative to the destination) plus the length of the cycle
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// All permutations of the same type are equivalent for the analytical model:
 /// they have the same distance, the same number of minimal paths and the same
 /// per-hop adaptivity profile.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CycleType {
     /// Sorted (ascending) lengths of the non-trivial cycles.
     pub cycle_lengths: Vec<usize>,

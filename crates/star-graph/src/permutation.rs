@@ -7,14 +7,13 @@
 //! label of a star-graph node in the paper (`v = v1 v2 … vn`).
 
 use crate::MAX_SYMBOLS;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A permutation of the symbols `1..=n`, `2 <= n <= MAX_SYMBOLS`.
 ///
 /// The value is the node label used throughout the star-graph literature:
 /// position `i` (1-based) holds symbol `self.symbol_at(i)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Permutation {
     /// Number of symbols.
     n: u8,

@@ -2,11 +2,10 @@
 //! the paper's Section 2).
 
 use crate::topology::Topology;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A row of topological properties for one network instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyProperties {
     /// Network name (e.g. `"S5"`).
     pub name: String,

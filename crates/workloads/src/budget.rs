@@ -5,11 +5,10 @@
 //! the warm-up length, the number of measured messages and the cycle ceiling
 //! so the two uses share all other configuration.
 
-use serde::{Deserialize, Serialize};
 use star_sim::SimConfig;
 
 /// How much simulation effort to spend per operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimBudget {
     /// A few thousand messages — seconds per point, adequate for smoke tests
     /// and examples.

@@ -21,12 +21,7 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-use star_core::{
-    AnalyticalModel, DestinationSpectrum, HypercubeModel, HypercubeResult, HypercubeSpectrum,
-    ModelParams, ModelResult, SpectrumModel, SpectrumResult, TraversalSpectrum,
-};
-use star_graph::{Hypercube, StarGraph};
+use star_core::{ModelParams, SpectrumModel, SpectrumResult, TraversalSpectrum};
 use star_queueing::ReplicateStats;
 use star_sim::{ReplicateReport, ReplicateRun, SimReport};
 
@@ -34,20 +29,11 @@ use crate::budget::SimBudget;
 use crate::scenario::{OperatingPoint, Scenario};
 
 /// Backend-specific diagnostics attached to a [`PointEstimate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EstimateDetail {
-    /// The full star analytical-model result (fixed-point iterations,
-    /// multiplexing degree, waiting times, …).
-    Model(ModelResult),
-    /// The full hypercube analytical-model result (same quantities, `Q_d`
-    /// configuration).
-    HypercubeModel(HypercubeResult),
-    /// The generic spectrum-model result, for topologies without a
-    /// closed-form spectrum (torus, ring, any plugged-in [`Topology`]
-    /// implementation).
-    ///
-    /// [`Topology`]: star_graph::Topology
-    Spectrum(SpectrumResult),
+    /// The full analytical-model result on any topology (fixed-point
+    /// iterations, multiplexing degree, waiting times, …).
+    Model(SpectrumResult),
     /// The replicate set of simulation reports with across-replicate
     /// statistics (cycles, observed multiplexing, … per replicate).
     Sim(Box<ReplicateReport>),
@@ -55,7 +41,7 @@ pub enum EstimateDetail {
 
 /// What an [`Evaluator`] answers for one operating point: the common headline
 /// quantities plus the backend's full diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointEstimate {
     /// The operating point that was evaluated.
     pub point: OperatingPoint,
@@ -85,33 +71,12 @@ impl PointEstimate {
         (!self.saturated).then_some(self.mean_latency)
     }
 
-    /// The star analytical-model result, if this estimate came from the
-    /// model on a star scenario.
+    /// The analytical-model result, if this estimate came from the model.
     #[must_use]
-    pub fn model_result(&self) -> Option<&ModelResult> {
+    pub fn model_result(&self) -> Option<&SpectrumResult> {
         match &self.detail {
             EstimateDetail::Model(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The hypercube analytical-model result, if this estimate came from the
-    /// model on a hypercube scenario.
-    #[must_use]
-    pub fn hypercube_result(&self) -> Option<&HypercubeResult> {
-        match &self.detail {
-            EstimateDetail::HypercubeModel(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The generic spectrum-model result, if this estimate came from the
-    /// model on a topology outside the two closed forms.
-    #[must_use]
-    pub fn spectrum_result(&self) -> Option<&SpectrumResult> {
-        match &self.detail {
-            EstimateDetail::Spectrum(r) => Some(r),
-            _ => None,
+            EstimateDetail::Sim(_) => None,
         }
     }
 
@@ -154,12 +119,7 @@ impl PointEstimate {
     /// Fixed-point iterations spent (model estimates only, any topology).
     #[must_use]
     pub fn iterations(&self) -> Option<usize> {
-        match &self.detail {
-            EstimateDetail::Model(r) => Some(r.iterations),
-            EstimateDetail::HypercubeModel(r) => Some(r.iterations),
-            EstimateDetail::Spectrum(r) => Some(r.iterations),
-            EstimateDetail::Sim(_) => None,
-        }
+        self.model_result().map(|r| r.iterations)
     }
 
     /// The latency as a plottable value: infinite when saturated.
@@ -188,7 +148,7 @@ impl PointEstimate {
 }
 
 /// A backend that can answer operating points: the analytical model
-/// ([`ModelBackend`], covering both the star and the hypercube), the
+/// ([`ModelBackend`], covering every topology with a spectrum), the
 /// flit-level simulator ([`SimBackend`]), or anything else that can estimate
 /// a latency (future: a learned surrogate, a remote service).
 ///
@@ -273,27 +233,12 @@ pub trait Evaluator: Sync {
     }
 }
 
-/// The topology spectrum a model sweep shares across its rates: the star's
-/// cycle-type destination spectrum, the hypercube's Hamming traversal
-/// spectrum, or the generic BFS traversal census for any other
-/// [`star_graph::Topology`] — behind one `Arc` so threads and rates reuse
-/// one allocation.
-///
-/// Dispatch is by downcast on the scenario's topology *value*, not by a kind
-/// enum: the two closed forms are an optimisation (and the oracles the
-/// generic census is tested against), everything else flows through
-/// [`TraversalSpectrum`].
-enum ModelSpectrum {
-    Star { symbols: usize, spectrum: Arc<DestinationSpectrum> },
-    Hypercube { dims: usize, spectrum: Arc<HypercubeSpectrum> },
-    Generic(Arc<TraversalSpectrum>),
-}
-
 /// The spectrum build a scenario's model evaluations share, as a reusable
-/// value: the expensive topology-dependent half of a model solve (the
-/// star's cycle-type census, the hypercube's Hamming populations, or the
-/// generic BFS traversal census), `Arc`-shared internally so clones and
-/// concurrent evaluations reuse one allocation.
+/// value: the expensive topology-dependent half of a model solve
+/// ([`TraversalSpectrum::for_topology`]: the star's cycle-type classes, the
+/// hypercube's Hamming populations, or the BFS census of any other
+/// topology), `Arc`-shared internally so clones and concurrent evaluations
+/// reuse one allocation.
 ///
 /// [`Evaluator::evaluate`] builds one per call; callers that answer *many*
 /// points of one scenario family — the serving daemon's topology/spectrum
@@ -302,55 +247,29 @@ enum ModelSpectrum {
 /// [`ModelBackend::estimate_with`], which is exactly the
 /// [`Evaluator::evaluate`] computation with the spectrum build hoisted out
 /// (the answers are bit-identical).
-pub struct ScenarioSpectrum(ModelSpectrum);
+pub struct ScenarioSpectrum(Arc<TraversalSpectrum>);
 
 impl std::fmt::Debug for ScenarioSpectrum {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let family = match &self.0 {
-            ModelSpectrum::Star { symbols, .. } => format!("Star(S{symbols})"),
-            ModelSpectrum::Hypercube { dims, .. } => format!("Hypercube(Q{dims})"),
-            ModelSpectrum::Generic(_) => "Generic".to_string(),
-        };
-        f.debug_tuple("ScenarioSpectrum").field(&family).finish()
+        f.debug_tuple("ScenarioSpectrum").field(&self.0.topology_name()).finish()
     }
 }
 
 impl ScenarioSpectrum {
-    /// Builds the spectrum for a scenario's topology (closed-form star and
-    /// hypercube spectra, generic BFS census otherwise).  Only the topology
+    /// Builds the spectrum for a scenario's topology.  Only the topology
     /// matters: every `V`/`M`/rate/discipline of the same network shares
     /// the build.
     #[must_use]
     pub fn build(scenario: &Scenario) -> Self {
-        Self(ModelSpectrum::for_scenario(scenario))
-    }
-}
-
-impl ModelSpectrum {
-    fn for_scenario(scenario: &Scenario) -> Self {
-        let topology = scenario.topology();
-        if let Some(star) = topology.as_any().downcast_ref::<StarGraph>() {
-            Self::Star {
-                symbols: star.symbols(),
-                spectrum: Arc::new(DestinationSpectrum::new(star.symbols())),
-            }
-        } else if let Some(cube) = topology.as_any().downcast_ref::<Hypercube>() {
-            Self::Hypercube {
-                dims: cube.dims(),
-                spectrum: Arc::new(HypercubeSpectrum::new(cube.dims())),
-            }
-        } else {
-            Self::Generic(Arc::new(TraversalSpectrum::new(topology.as_ref())))
-        }
+        Self(Arc::new(TraversalSpectrum::for_topology(scenario.topology().as_ref())))
     }
 }
 
 /// The analytical model as an [`Evaluator`]: microseconds per point.  Covers
 /// star networks with the three modelled disciplines and every other
 /// topology with all four (deterministic routing on `Q_d` is
-/// dimension-order), under uniform traffic.  Star and hypercube scenarios
-/// use the closed-form spectra; any other topology (torus, ring, plugged-in
-/// implementations) goes through the generic [`TraversalSpectrum`].
+/// dimension-order), under uniform traffic, with one solver
+/// ([`SpectrumModel`]) over the spectrum [`ScenarioSpectrum::build`] picks.
 ///
 /// ```
 /// use star_workloads::{Evaluator, ModelBackend, Scenario};
@@ -363,9 +282,9 @@ impl ModelSpectrum {
 /// let cube = backend.evaluate(&Scenario::hypercube(7).at(0.004));
 /// let torus = backend.evaluate(&Scenario::torus(8).at(0.004));
 /// assert!(!star.saturated && !cube.saturated && !torus.saturated);
-/// assert!(star.model_result().is_some());
-/// assert!(cube.hypercube_result().is_some());
-/// assert!(torus.spectrum_result().is_some());
+/// assert_eq!(star.model_result().unwrap().topology, "S5");
+/// assert_eq!(cube.model_result().unwrap().topology, "Q7");
+/// assert_eq!(torus.model_result().unwrap().topology, "T8");
 /// // all are latency estimates above their zero-load bound M + d̄
 /// assert!(star.mean_latency > 32.0);
 /// assert!(cube.mean_latency > 32.0);
@@ -401,7 +320,7 @@ impl ModelBackend {
     fn estimate(
         &self,
         point: &OperatingPoint,
-        spectrum: &ModelSpectrum,
+        spectrum: &ScenarioSpectrum,
         warm_state: &[f64],
     ) -> PointEstimate {
         let scenario = &point.scenario;
@@ -409,29 +328,8 @@ impl ModelBackend {
             .model_params(point.traffic_rate)
             .unwrap_or_else(|e| panic!("invalid model scenario {}: {e}", scenario.label()))
             .unwrap_or_else(|| panic!("{}", Self::unsupported_message(scenario)));
-        let (saturated, mean_latency, detail) = match spectrum {
-            ModelSpectrum::Star { symbols, spectrum } => {
-                let config = params
-                    .star_config(*symbols)
-                    .unwrap_or_else(|| panic!("{}", Self::unsupported_message(scenario)));
-                let result = AnalyticalModel::with_spectrum(config, Arc::clone(spectrum))
-                    .solve_from(warm_state);
-                (result.saturated, result.mean_latency, EstimateDetail::Model(result))
-            }
-            ModelSpectrum::Hypercube { dims, spectrum } => {
-                let result = HypercubeModel::with_spectrum(
-                    params.hypercube_config(*dims),
-                    Arc::clone(spectrum),
-                )
-                .solve_from(warm_state);
-                (result.saturated, result.mean_latency, EstimateDetail::HypercubeModel(result))
-            }
-            ModelSpectrum::Generic(spectrum) => {
-                let result =
-                    SpectrumModel::new(params, Arc::clone(spectrum)).solve_from(warm_state);
-                (result.saturated, result.mean_latency, EstimateDetail::Spectrum(result))
-            }
-        };
+        let result = SpectrumModel::new(params, Arc::clone(&spectrum.0)).solve_from(warm_state);
+        let (saturated, mean_latency) = (result.saturated, result.mean_latency);
         PointEstimate {
             point: point.clone(),
             backend: self.name().to_string(),
@@ -444,7 +342,7 @@ impl ModelBackend {
             } else {
                 ReplicateStats::degenerate(mean_latency)
             },
-            detail,
+            detail: EstimateDetail::Model(result),
         }
     }
 
@@ -471,7 +369,7 @@ impl ModelBackend {
     ///
     /// # Panics
     /// As [`Evaluator::evaluate`]; also if the spectrum was built for a
-    /// different topology family or size than the point's.
+    /// different topology than the point's.
     #[must_use]
     pub fn estimate_with(
         &self,
@@ -479,18 +377,12 @@ impl ModelBackend {
         spectrum: &ScenarioSpectrum,
         warm_state: &[f64],
     ) -> PointEstimate {
-        match (&spectrum.0, point.scenario.topology().name().as_str()) {
-            (ModelSpectrum::Star { symbols, .. }, name) => {
-                assert_eq!(name, format!("S{symbols}"), "spectrum built for another topology");
-            }
-            (ModelSpectrum::Hypercube { dims, .. }, name) => {
-                assert_eq!(name, format!("Q{dims}"), "spectrum built for another topology");
-            }
-            (ModelSpectrum::Generic(s), name) => {
-                assert_eq!(name, s.topology_name(), "spectrum built for another topology");
-            }
-        }
-        self.estimate(point, &spectrum.0, warm_state)
+        assert_eq!(
+            point.scenario.network_label(),
+            spectrum.0.topology_name(),
+            "spectrum built for another topology"
+        );
+        self.estimate(point, spectrum, warm_state)
     }
 
     /// The converged mean network latency an estimate contributes as the next
@@ -501,14 +393,9 @@ impl ModelBackend {
     /// favour of a cold start) for saturated points.
     #[must_use]
     pub fn warm_seed(estimate: &PointEstimate) -> Option<f64> {
-        match &estimate.detail {
-            // saturated points leave a non-finite seed, which solve_from
-            // ignores in favour of the cold start
-            EstimateDetail::Model(r) => Some(r.mean_network_latency),
-            EstimateDetail::HypercubeModel(r) => Some(r.mean_network_latency),
-            EstimateDetail::Spectrum(r) => Some(r.mean_network_latency),
-            EstimateDetail::Sim(_) => None,
-        }
+        // saturated points leave a non-finite seed, which solve_from ignores
+        // in favour of the cold start
+        estimate.model_result().map(|r| r.mean_network_latency)
     }
 }
 
@@ -523,15 +410,15 @@ impl Evaluator for ModelBackend {
 
     fn evaluate_replicate(&self, point: &OperatingPoint, _replicate: usize) -> PointEstimate {
         // the model is deterministic — every replicate is the same solve
-        self.estimate(point, &ModelSpectrum::for_scenario(&point.scenario), &[])
+        self.estimate(point, &ScenarioSpectrum::build(&point.scenario), &[])
     }
 
     fn evaluate(&self, point: &OperatingPoint) -> PointEstimate {
-        self.estimate(point, &ModelSpectrum::for_scenario(&point.scenario), &[])
+        self.estimate(point, &ScenarioSpectrum::build(&point.scenario), &[])
     }
 
     fn evaluate_sweep(&self, scenario: &Scenario, rates: &[f64]) -> Vec<PointEstimate> {
-        let spectrum = ModelSpectrum::for_scenario(scenario);
+        let spectrum = ScenarioSpectrum::build(scenario);
         let mut warm_state: Vec<f64> = Vec::new();
         rates
             .iter()
@@ -555,7 +442,7 @@ impl Evaluator for ModelBackend {
 /// Adaptive stopping rule for replicated simulation: keep running replicate
 /// batches until the relative 95% confidence half-width of the mean latency
 /// falls below the target, or the replicate cap is hit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CiTarget {
     /// Target relative half-width (`ci95 / mean`), e.g. `0.05` for ±5%.
     pub relative: f64,
@@ -755,7 +642,7 @@ mod tests {
         let backend = ModelBackend::new();
         // the star model has no deterministic variant
         assert!(!backend.supports(&s4().with_discipline(Discipline::Deterministic)));
-        // too few virtual channels is a ConfigError, not a supported scenario
+        // too few virtual channels is a parameter error, not a supported scenario
         assert!(!backend.supports(&s4().with_virtual_channels(3)));
         // hypercube scenarios check against the cube's own level minimum
         assert!(!backend.supports(&Scenario::hypercube(10).with_virtual_channels(6)));
@@ -787,15 +674,14 @@ mod tests {
             assert!(!estimate.saturated);
             assert!(estimate.latency().unwrap() > 32.0);
             assert!(estimate.iterations().unwrap() > 0);
-            assert!(estimate.hypercube_result().is_some());
-            assert!(estimate.model_result().is_none());
+            assert_eq!(estimate.model_result().unwrap().topology, "Q4");
             assert!(estimate.sim_report().is_none());
         }
     }
 
     #[test]
     fn model_backend_answers_torus_and_ring_scenarios() {
-        // the generic spectrum path: no closed form anywhere, every
+        // the BFS census spectrum: no closed form anywhere, every
         // discipline covered (deterministic routing has one admissible port
         // per hop on the torus's BFS DAG)
         let backend = ModelBackend::new();
@@ -807,19 +693,18 @@ mod tests {
             assert!(!estimate.saturated);
             assert!(estimate.latency().unwrap() > 32.0);
             assert!(estimate.iterations().unwrap() > 0);
-            assert!(estimate.spectrum_result().is_some());
-            assert!(estimate.model_result().is_none());
-            assert!(estimate.hypercube_result().is_none());
+            assert_eq!(estimate.model_result().unwrap().topology, "T8");
+            assert!(estimate.sim_report().is_none());
         }
         let ring = backend.evaluate(&Scenario::ring(8).with_virtual_channels(4).at(0.004));
         assert!(!ring.saturated);
-        assert_eq!(ring.spectrum_result().unwrap().topology, "R8");
+        assert_eq!(ring.model_result().unwrap().topology, "R8");
     }
 
     #[test]
     fn warm_started_torus_sweep_matches_independent_evaluations() {
-        // the generic spectrum model participates in the same warm-start
-        // chain as the closed forms
+        // a census spectrum participates in the same warm-start chain as
+        // the closed-form ones
         let backend = ModelBackend::new();
         let scenario = Scenario::torus(8);
         let rates = [0.006, 0.010, 0.013];
@@ -874,7 +759,7 @@ mod tests {
             let scenario = Scenario::hypercube(dims).with_virtual_channels(8);
             let estimate = backend.evaluate(&scenario.at(0.002));
             assert!(!estimate.saturated, "Q{dims} must solve at light load");
-            assert!(estimate.hypercube_result().is_some());
+            assert!(estimate.iterations().unwrap() > 0);
         }
     }
 

@@ -9,8 +9,8 @@
 //!   plus the [`TopologyKind`] names the `--topology` CLI flag parses into;
 //! * [`evaluator`] — the [`Evaluator`] trait with its common
 //!   [`PointEstimate`] output, implemented by the analytical model
-//!   ([`ModelBackend`], covering star **and** hypercube scenarios,
-//!   warm-started across sweeps) and the flit-level simulator
+//!   ([`ModelBackend`], covering every topology through one spectrum
+//!   solver, warm-started across sweeps) and the flit-level simulator
 //!   ([`SimBackend`], fanning each point out to independently seeded
 //!   replicates, optionally until a [`CiTarget`] is met), so any harness
 //!   can swap backends or run both and diff them;
@@ -80,7 +80,7 @@
 //!   replicate order).
 //! * **Warm-start semantics.**  [`ModelBackend`] chains each rate's
 //!   fixed-point seed from the previous rate of the *same sweep*
-//!   ([`Evaluator::chains_rates`]), on both topologies.  This is an
+//!   ([`Evaluator::chains_rates`]), on every topology.  This is an
 //!   *iteration-count* optimisation, never an *answer* change: warm and
 //!   cold solves agree to solver tolerance (1e-9 relative latency), and a
 //!   saturated point yields an unusable seed that the next rate ignores in
@@ -111,8 +111,6 @@ pub use evaluator::{
 };
 pub use experiment::figure1_sweeps;
 pub use report::{ascii_plot, markdown_table, write_csv, ReportSink, RunReport, RunRow};
-#[allow(deprecated)]
-pub use scenario::NetworkKind;
 pub use scenario::{Discipline, OperatingPoint, Scenario, TopologyKind};
 pub use star_exec::{ExecPool, ShardSpec};
 pub use star_queueing::ReplicateStats;

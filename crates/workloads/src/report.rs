@@ -7,7 +7,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
 use star_exec::ShardSpec;
 
 use crate::evaluator::PointEstimate;
@@ -21,7 +20,7 @@ use crate::sweep_runner::{SweepReport, SweepSpec};
 /// Student-t 95% half-width.  Keeping one schema is what lets a harness
 /// concatenate model and simulator rows into one CSV and diff them
 /// downstream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRow {
     /// Identifier of the sweep the row belongs to.
     pub sweep: String,
@@ -88,7 +87,7 @@ impl RunRow {
 
 /// The unified report of one harness run: every (sweep, point, backend)
 /// estimate flattened into [`RunRow`]s sharing one CSV schema.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// The rows, in (sweep, rate) order per contributing backend.
     pub rows: Vec<RunRow>,

@@ -19,7 +19,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use star_core::{ModelDiscipline, ModelParams, ModelParamsError};
 use star_graph::{Hypercube, Ring, StarGraph, Topology, Torus};
 use star_routing::{DeterministicMinimal, EnhancedNbc, NHop, Nbc, RoutingAlgorithm};
@@ -31,7 +30,7 @@ use star_sim::{SimCore, TrafficPattern};
 /// This enum is a *naming* convenience only: scenarios carry an
 /// `Arc<dyn Topology>` value ([`Scenario::on`]), so a topology outside this
 /// list plugs into the whole evaluation stack without touching it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopologyKind {
     /// The star graph `S_n` (`size` is the number of symbols `n`).
     #[default]
@@ -115,16 +114,10 @@ impl TopologyKind {
     }
 }
 
-/// The old name of [`TopologyKind`], kept for one release so downstream code
-/// migrates gradually.
-#[deprecated(note = "renamed to TopologyKind; scenarios now carry an Arc<dyn Topology> — \
-            construct them with Scenario::on or the per-family constructors")]
-pub type NetworkKind = TopologyKind;
-
 /// Routing discipline of a scenario: the three schemes the analytical model
 /// covers plus the deterministic minimal baseline the simulator also
 /// implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Discipline {
     /// The paper's algorithm (escape levels + fully adaptive class-a
     /// channels, bonus cards).
@@ -135,8 +128,7 @@ pub enum Discipline {
     /// Plain negative-hop.
     NHop,
     /// Deterministic minimal routing (the analytical model covers it on
-    /// every topology except the star, where the closed form has no
-    /// deterministic variant).
+    /// every topology except the star graph).
     Deterministic,
 }
 
@@ -162,9 +154,8 @@ impl Discipline {
         Self::ALL.into_iter().find(|d| d.name() == name)
     }
 
-    /// The unified analytical-model discipline.  All four map;
-    /// [`ModelDiscipline`] itself knows which closed-form models cover which
-    /// scheme (the star model skips `Deterministic`).
+    /// The analytical-model discipline.  All four map; which topologies the
+    /// model covers them on is [`Scenario::model_params`]'s business.
     #[must_use]
     pub fn model_discipline(self) -> ModelDiscipline {
         match self {
@@ -206,7 +197,7 @@ impl Discipline {
 ///
 /// Cloning a scenario is cheap — the topology is behind an `Arc`, so clones
 /// share one instance (and one neighbour table).
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Scenario {
     /// The network, as a value.  Private so every scenario is guaranteed to
     /// hold a live topology; read it back with [`Self::topology`].
@@ -425,25 +416,21 @@ impl Scenario {
         self.discipline.routing(self.topology.as_ref(), self.virtual_channels)
     }
 
-    /// The unified analytical-model parameters at the given traffic rate,
-    /// when the model covers this scenario, validated against this
-    /// scenario's topology.  One surface replaces the old per-topology
-    /// `model_config` / `hypercube_model_config` pair:
+    /// The analytical-model parameters at the given traffic rate, when the
+    /// model covers this scenario, validated against this scenario's
+    /// topology:
     ///
     /// * `Ok(Some(params))` — the model covers the scenario; pair the
-    ///   parameters with [`Self::topology`] (closed-form star/hypercube
-    ///   solvers or the generic spectrum model — the backend picks).
+    ///   parameters with the spectrum of [`Self::topology`].
     /// * `Ok(None)` — outside the model's reach by *kind*, not by range:
     ///   non-uniform traffic, or deterministic routing on the star graph
-    ///   (the closed form has no deterministic variant and the star's
-    ///   generic spectrum is reserved as the adaptive oracle).
+    ///   (the paper's model has no deterministic star variant).
     ///
     /// # Errors
     /// Returns the [`ModelParamsError`] when the scenario is in the model's
-    /// reach but its parameters are out of range (too few virtual channels
-    /// for the topology's escape-level minimum, zero-length messages, …).
-    /// Star and hypercube scenarios keep their closed-form validators' exact
-    /// errors.
+    /// reach but its parameters are out of range (network size outside the
+    /// model's range, too few virtual channels for the topology's
+    /// escape-level minimum, zero-length messages, …).
     pub fn model_params(&self, traffic_rate: f64) -> Result<Option<ModelParams>, ModelParamsError> {
         if self.pattern != TrafficPattern::Uniform {
             return Ok(None);
@@ -478,7 +465,7 @@ impl Scenario {
 
 /// One scenario at one traffic generation rate — the unit both evaluation
 /// backends answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     /// The scenario being evaluated.
     pub scenario: Scenario,
@@ -563,16 +550,20 @@ mod tests {
                 assert!((params.traffic_rate - 0.002).abs() < 1e-15);
             }
         }
-        // out-of-range parameters surface as errors, not None — with the
-        // closed-form validator's own error on the hypercube
-        assert!(matches!(
+        // out-of-range parameters surface as errors, not None: Q10 needs
+        // more than its 6 levels for Enhanced-Nbc…
+        assert_eq!(
             Scenario::hypercube(10).model_params(0.002),
-            Err(ModelParamsError::Hypercube(_))
-        ));
-        // …and the generic validator's on the torus
+            Err(ModelParamsError::TooFewVirtualChannels {
+                discipline: ModelDiscipline::EnhancedNbc,
+                required_levels: 6,
+                got: 6,
+            })
+        );
+        // …as does T12 with its 7
         assert!(matches!(
             Scenario::torus(12).model_params(0.002),
-            Err(ModelParamsError::TooFewVirtualChannels { .. })
+            Err(ModelParamsError::TooFewVirtualChannels { required_levels: 7, .. })
         ));
     }
 
@@ -583,12 +574,24 @@ mod tests {
         assert_eq!(params.virtual_channels, 6);
         assert!((params.traffic_rate - 0.004).abs() < 1e-15);
         assert_eq!(params.discipline, ModelDiscipline::EnhancedNbc);
-        // the closed-form star model has no deterministic variant
+        // the star model has no deterministic variant
         let det = s.clone().with_discipline(Discipline::Deterministic);
         assert_eq!(det.model_params(0.004), Ok(None));
-        // star errors come from the star validator
+        // S5 needs more than its 4 escape levels for Enhanced-Nbc
         let invalid = s.with_virtual_channels(4);
-        assert!(matches!(invalid.model_params(0.004), Err(ModelParamsError::Star(_))));
+        assert_eq!(
+            invalid.model_params(0.004),
+            Err(ModelParamsError::TooFewVirtualChannels {
+                discipline: ModelDiscipline::EnhancedNbc,
+                required_levels: 4,
+                got: 4,
+            })
+        );
+        // S2 is a topology but outside the model's size range
+        assert!(matches!(
+            Scenario::star(2).model_params(0.004),
+            Err(ModelParamsError::UnsupportedSize { family: 'S', size: 2, .. })
+        ));
         // non-uniform traffic is outside the model on every topology
         let hot = TrafficPattern::HotSpot { node: 0, fraction: 0.2 };
         assert_eq!(Scenario::torus(8).with_pattern(hot).model_params(0.004), Ok(None));

@@ -25,14 +25,13 @@
 //! threads, see [`shard_sweeps`] and the `--shard K/N` flag of the harness
 //! binaries.
 
-use serde::{Deserialize, Serialize};
 use star_exec::{ExecPool, ShardSpec};
 
 use crate::evaluator::{Evaluator, PointEstimate};
 use crate::scenario::Scenario;
 
 /// One named sweep: a scenario evaluated across a list of traffic rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Identifier used in reports and CSV file names (e.g. `"fig1a-M32"`).
     pub id: String,
@@ -52,7 +51,7 @@ impl SweepSpec {
 
 /// One evaluated sweep: the spec's identity plus one estimate per rate, in
 /// rate order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// The sweep's identifier.
     pub id: String,

@@ -328,8 +328,6 @@ pub fn default_config_pool() -> Vec<WireScenario> {
 /// The model-predicted saturation rate of a scenario, on any topology —
 /// the bisection the model-only harness binaries and the serving layer use
 /// to pick rate grids that cover the whole latency curve up to the knee.
-/// Star and hypercube scenarios use the closed-form solvers; anything else
-/// goes through the generic [`star_core::TraversalSpectrum`].
 ///
 /// # Panics
 /// Panics if the analytical model does not cover the scenario, or if the
@@ -345,17 +343,8 @@ pub fn model_saturation_rate(scenario: &Scenario, tolerance: f64) -> f64 {
             panic!("the analytical model does not cover scenario {}", scenario.label())
         }
     };
-    let topology = scenario.topology();
-    if let Some(star) = topology.as_any().downcast_ref::<StarGraph>() {
-        let config =
-            params.star_config(star.symbols()).expect("star scenarios map to modelled disciplines");
-        star_core::saturation_rate(config, tolerance)
-    } else if let Some(cube) = topology.as_any().downcast_ref::<Hypercube>() {
-        star_core::hypercube_saturation_rate(params.hypercube_config(cube.dims()), tolerance)
-    } else {
-        let spectrum = Arc::new(star_core::TraversalSpectrum::new(topology.as_ref()));
-        star_core::spectrum_saturation_rate(params, &spectrum, tolerance)
-    }
+    let spectrum = star_core::TraversalSpectrum::for_topology(scenario.topology().as_ref());
+    star_core::spectrum_saturation_rate(params, &Arc::new(spectrum), tolerance)
 }
 
 /// The saturation-scaled serving rate grid of a scenario: `steps` rates

@@ -28,7 +28,10 @@
 //!   load, a parallel replicate fan-out (`R = 3`, width 2) byte-compared
 //!   against the serial fold, plus one `S6` light-load point on the
 //!   event-driven default cross-checked against the analytical model — the
-//!   engine-equivalence contract, enforced on every push), and
+//!   engine-equivalence contract, enforced on every push), a **perfbench
+//!   check** (the end-to-end benchmark under `perfbench/`, a workspace of
+//!   its own, built with `--offline` and its unit tests run, so a change to
+//!   a library API it calls fails CI rather than the benchmark run), and
 //!   `cargo doc --no-deps` with `RUSTDOCFLAGS="-D warnings"` so broken
 //!   intra-doc links fail the pipeline.
 //! * `cargo xtask figure1` — regenerates the paper's Figure 1 CSVs under
@@ -107,8 +110,8 @@ fn print_help() {
     eprintln!("commands:");
     eprintln!(
         "  ci            fmt-check, clippy -D warnings, build, test, doctest, bench smoke, \
-         replicate smoke, torus smoke, sim-equiv smoke, shard smoke, serve smoke, \
-         doc -D warnings"
+         replicate smoke, torus smoke, sim-equiv smoke, perfbench build + test, shard smoke, \
+         serve smoke, doc -D warnings"
     );
     eprintln!(
         "  figure1       regenerate the paper's Figure 1 CSVs (forwards extra args, \
@@ -247,6 +250,12 @@ fn ci() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    // the end-to-end benchmark builds against the library APIs, so an API
+    // change it depends on must fail here, not in a benchmark run
+    if let Err(e) = perfbench_check() {
+        eprintln!("\nci FAILED at {e}");
+        return ExitCode::FAILURE;
+    }
     // the cross-process sharding contract, end to end: a small sweep run
     // unsharded and as two shards must merge to byte-identical CSV
     if let Err(e) = shard_smoke() {
@@ -270,6 +279,15 @@ fn ci() -> ExitCode {
     }
     println!("\nci passed in {:.1}s", started.elapsed().as_secs_f64());
     ExitCode::SUCCESS
+}
+
+/// Builds the end-to-end benchmark under `perfbench/` (a workspace of its
+/// own, outside this one) and runs its unit tests.
+fn perfbench_check() -> Result<(), String> {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perfbench/Cargo.toml");
+    let manifest = manifest.to_str().ok_or("perfbench: manifest path is not UTF-8")?;
+    step("perfbench-build", &["build", "--release", "--offline", "--manifest-path", manifest])?;
+    step("perfbench-test", &["test", "-q", "--release", "--offline", "--manifest-path", manifest])
 }
 
 /// Runs one small `star_vs_hypercube` sweep unsharded and as 2 shards, then

@@ -10,12 +10,13 @@
 
 use star_wormhole::workloads::{ascii_plot, markdown_table};
 use star_wormhole::{
-    model, Evaluator as _, ModelBackend, Scenario, SimBackend, SimBudget, SweepRunner, SweepSpec,
+    Evaluator as _, ModelBackend, Scenario, SimBackend, SimBudget, SweepRunner, SweepSpec,
 };
 
 fn main() {
     let with_sim = std::env::args().any(|a| a == "--with-sim");
-    let rates = model::sweep::linspace(0.001, 0.016, 13);
+    // 13 evenly spaced generation rates from 0.001 to 0.016
+    let rates: Vec<f64> = (0..13).map(|i| 0.001 + 0.015 * f64::from(i) / 12.0).collect();
 
     let sweeps: Vec<SweepSpec> = [6usize, 9, 12]
         .iter()

@@ -31,6 +31,10 @@ fn main() {
     println!("  VC multiplexing       V̄  = {:.3}", result.multiplexing);
     println!("  mean message latency      = {:.2} cycles", model.mean_latency);
     println!("  channel utilisation       = {:.3}", result.channel_utilization);
+    println!(
+        "  solved on the {} spectrum in {} fixed-point iterations",
+        result.topology, result.iterations
+    );
 
     // 2. The flit-level simulator at the same point (seconds): three
     // independently seeded replicates folded into mean ± 95% CI.

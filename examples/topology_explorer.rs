@@ -10,7 +10,6 @@
 //! ```
 
 use star_wormhole::graph::distance::star_distance_distribution;
-use star_wormhole::model::DestinationSpectrum;
 use star_wormhole::workloads::markdown_table;
 use star_wormhole::{Hypercube, StarGraph, TopologyKind, TopologyProperties, TraversalSpectrum};
 
@@ -84,7 +83,7 @@ fn main() {
     println!("\n# Routing adaptivity (mean number of minimal-path output channels per hop)\n");
     let mut rows = Vec::new();
     for n in 4..=max_n.min(7) {
-        let spectrum = DestinationSpectrum::new(n);
+        let spectrum = TraversalSpectrum::star(n);
         rows.push(vec![
             format!("S{n}"),
             format!("{}", spectrum.classes().len()),

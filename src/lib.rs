@@ -8,7 +8,7 @@
 //!
 //! * [`exec`] (crate `star-exec`) — the shared execution layer: the
 //!   persistent deterministic [`ExecPool`] behind every parallel path
-//!   (sweep sharding, the models' per-iteration blocking sums, the
+//!   (sweep sharding, the model's per-iteration blocking sums, the
 //!   spectrum build) and the `--shard K/N` cross-process shard/merge
 //!   machinery ([`ShardSpec`], `merge_shard_csvs`);
 //! * [`graph`] (crate `star-graph`) — the [`Topology`] trait with its star
@@ -21,12 +21,11 @@
 //! * [`sim`] (crate `star-sim`) — the cycle-accurate flit-level wormhole
 //!   simulator used to validate the model;
 //! * [`model`] (crate `star-core`) — **the paper's contribution**: the
-//!   analytical latency model and its traffic sweeps, extended to the
-//!   binary hypercube (`HypercubeModel`) so the star-vs-hypercube
-//!   comparison runs model-only far beyond simulator scale, plus the
-//!   generic [`TraversalSpectrum`]/[`SpectrumModel`] pair that evaluates
-//!   the same model on **any** [`Topology`] value from a BFS distance
-//!   census (the closed forms remain as exact oracles);
+//!   analytical latency model, one solver ([`SpectrumModel`]) over a
+//!   [`TraversalSpectrum`] of **any** [`Topology`] value — closed-form
+//!   cycle-type classes on the star graph, Hamming classes on the binary
+//!   hypercube (so the star-vs-hypercube comparison runs model-only far
+//!   beyond simulator scale), a BFS census on everything else;
 //! * [`serve`] (crate `star-serve`) — the persistent evaluation daemon:
 //!   a line-delimited-JSON TCP server answering scenario queries from a
 //!   two-level cache (fingerprint-keyed topology/spectrum sharing plus an
@@ -80,9 +79,7 @@ pub use star_sim as sim;
 pub use star_workloads as workloads;
 
 pub use star_core::{
-    spectrum_saturation_rate, AnalyticalModel, ConfigError, HypercubeConfig, HypercubeConfigError,
-    HypercubeModel, HypercubeResult, HypercubeRouting, HypercubeSpectrum, ModelConfig,
-    ModelDiscipline, ModelParams, ModelParamsError, ModelResult, RoutingDiscipline, SpectrumModel,
+    spectrum_saturation_rate, ModelDiscipline, ModelParams, ModelParamsError, SpectrumModel,
     SpectrumResult, TraversalSpectrum, ValidationRow,
 };
 pub use star_exec::{merge_shard_csvs, ExecPool, ShardSpec};
@@ -95,8 +92,6 @@ pub use star_serve::{Daemon, ServeConfig};
 pub use star_sim::{
     ReplicateReport, ReplicateRun, SimConfig, SimCore, SimReport, Simulation, TrafficPattern,
 };
-#[allow(deprecated)]
-pub use star_workloads::NetworkKind;
 pub use star_workloads::{
     default_config_pool, encode_estimate, load_rate_grid, scenario_fingerprint, shard_sweeps,
     CiTarget, Discipline, EstimateDetail, Evaluator, ModelBackend, OperatingPoint, PointEstimate,

@@ -5,10 +5,11 @@
 //! replicate fan-out, and the seed → replicate derivation must be stable
 //! across runs.
 
-use star_wormhole::model::{sweep_traffic, sweep_traffic_cold};
+use std::sync::Arc;
+
 use star_wormhole::{
-    replicate_seed, Evaluator as _, ModelBackend, ModelConfig, Scenario, SimBackend, SimBudget,
-    SweepRunner, SweepSpec,
+    replicate_seed, Evaluator as _, ModelBackend, ModelParams, Scenario, SimBackend, SimBudget,
+    SpectrumModel, SpectrumResult, SweepRunner, SweepSpec, TraversalSpectrum,
 };
 
 /// The acceptance sweep: the paper's `S5`, `V = 6`, `M = 32` curve sampled
@@ -22,44 +23,59 @@ fn s5_scenario() -> Scenario {
     Scenario::star(5).with_virtual_channels(6).with_message_length(32)
 }
 
+/// The acceptance sweep solved directly on the core model over one shared
+/// spectrum, each rate seeded with the previous rate's converged `S̄` when
+/// `warm` (a saturated point leaves a non-finite seed, which the next solve
+/// ignores in favour of the cold start).
+fn core_sweep(warm: bool) -> Vec<(f64, SpectrumResult)> {
+    let spectrum = Arc::new(TraversalSpectrum::star(5));
+    let params = ModelParams { virtual_channels: 6, message_length: 32, ..Default::default() };
+    let mut seed: Vec<f64> = Vec::new();
+    s5_rates()
+        .into_iter()
+        .map(|rate| {
+            let result =
+                SpectrumModel::new(params.with_rate(rate), Arc::clone(&spectrum)).solve_from(&seed);
+            if warm {
+                seed = vec![result.mean_network_latency];
+            }
+            (rate, result)
+        })
+        .collect()
+}
+
 #[test]
 fn warm_started_sweep_matches_cold_start_point_for_point() {
-    let config = ModelConfig::builder().symbols(5).virtual_channels(6).message_length(32).build();
-    let rates = s5_rates();
-    let warm = sweep_traffic(config, &rates);
-    let cold = sweep_traffic_cold(config, &rates);
+    let warm = core_sweep(true);
+    let cold = core_sweep(false);
     assert_eq!(warm.len(), cold.len());
     let mut compared = 0;
-    for (w, c) in warm.iter().zip(&cold) {
+    for ((rate, w), (_, c)) in warm.iter().zip(&cold) {
         assert_eq!(
-            w.result.saturated, c.result.saturated,
-            "warm and cold must agree on saturation at rate {}",
-            w.traffic_rate
+            w.saturated, c.saturated,
+            "warm and cold must agree on saturation at rate {rate}"
         );
-        if !w.result.saturated {
-            let rel = (w.result.mean_latency - c.result.mean_latency).abs() / c.result.mean_latency;
+        if !w.saturated {
+            let rel = (w.mean_latency - c.mean_latency).abs() / c.mean_latency;
             assert!(
                 rel < 1e-9,
-                "rate {}: warm {} vs cold {} differ by {rel}",
-                w.traffic_rate,
-                w.result.mean_latency,
-                c.result.mean_latency
+                "rate {rate}: warm {} vs cold {} differ by {rel}",
+                w.mean_latency,
+                c.mean_latency
             );
             compared += 1;
         }
     }
     assert!(compared >= 10, "the sweep must compare a real span below saturation");
-    assert!(warm.iter().any(|p| p.result.saturated), "the sweep must reach the knee");
+    assert!(warm.iter().any(|(_, w)| w.saturated), "the sweep must reach the knee");
 }
 
 #[test]
 fn warm_start_spends_strictly_fewer_iterations_near_the_knee() {
-    let config = ModelConfig::builder().symbols(5).virtual_channels(6).message_length(32).build();
-    let rates = s5_rates();
-    let warm = sweep_traffic(config, &rates);
-    let cold = sweep_traffic_cold(config, &rates);
-    let warm_total: usize = warm.iter().map(|p| p.result.iterations).sum();
-    let cold_total: usize = cold.iter().map(|p| p.result.iterations).sum();
+    let warm = core_sweep(true);
+    let cold = core_sweep(false);
+    let warm_total: usize = warm.iter().map(|(_, w)| w.iterations).sum();
+    let cold_total: usize = cold.iter().map(|(_, c)| c.iterations).sum();
     assert!(
         warm_total < cold_total,
         "warm-started sweep must spend fewer total iterations ({warm_total} vs {cold_total})"
@@ -69,8 +85,8 @@ fn warm_start_spends_strictly_fewer_iterations_near_the_knee() {
     let knee: Vec<(usize, usize)> = warm
         .iter()
         .zip(&cold)
-        .filter(|(w, _)| !w.result.saturated)
-        .map(|(w, c)| (w.result.iterations, c.result.iterations))
+        .filter(|((_, w), _)| !w.saturated)
+        .map(|((_, w), (_, c))| (w.iterations, c.iterations))
         .collect();
     let tail = &knee[knee.len().saturating_sub(3)..];
     for &(w_iters, c_iters) in tail {
@@ -85,13 +101,12 @@ fn warm_start_spends_strictly_fewer_iterations_near_the_knee() {
 fn model_backend_through_the_runner_matches_the_core_sweep() {
     let sweep = SweepSpec::new("fig1a-M32", s5_scenario(), s5_rates());
     let report = SweepRunner::with_threads(2).run_one(&ModelBackend::new(), &sweep);
-    let config = ModelConfig::builder().symbols(5).virtual_channels(6).message_length(32).build();
-    let core = sweep_traffic(config, &s5_rates());
+    let core = core_sweep(true);
     assert_eq!(report.estimates.len(), core.len());
-    for (est, point) in report.estimates.iter().zip(&core) {
-        assert_eq!(est.saturated, point.result.saturated);
+    for (est, (_, result)) in report.estimates.iter().zip(&core) {
+        assert_eq!(est.saturated, result.saturated);
         if !est.saturated {
-            assert!((est.mean_latency - point.result.mean_latency).abs() < 1e-12);
+            assert!((est.mean_latency - result.mean_latency).abs() < 1e-12);
         }
     }
 }

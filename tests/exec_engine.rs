@@ -4,14 +4,12 @@
 //! cross-process shard/merge round trip.
 
 use star_wormhole::exec::shard::{partial_header, partial_rows};
-use star_wormhole::exec::spawn_ordered;
-use star_wormhole::model::blocking::{batch_blocking_delays, total_blocking_delay, VcSplit};
+use star_wormhole::model::blocking::{batch_blocking_delays, VcSplit};
 use star_wormhole::model::occupancy::ChannelOccupancy;
-use star_wormhole::model::DestinationSpectrum;
 use star_wormhole::workloads::{rate_indices, retain_shard};
 use star_wormhole::{
     merge_shard_csvs, shard_sweeps, ExecPool, ModelBackend, ReportSink, Scenario, ShardSpec,
-    SimBackend, SimBudget, SweepRunner, SweepSpec,
+    SimBackend, SimBudget, SweepRunner, SweepSpec, TraversalSpectrum,
 };
 
 /// The three refactored parallel paths must stay byte-identical between a
@@ -32,8 +30,8 @@ fn pool_determinism_across_all_three_parallel_paths() {
     }
 
     // 2. blocking sums: the per-iteration batch behind with_parallelism
-    let spectrum = DestinationSpectrum::new(5);
-    let profiles: Vec<_> = spectrum.classes().iter().map(|c| &c.profile).collect();
+    let spectrum = TraversalSpectrum::star(5);
+    let profiles: Vec<_> = spectrum.classes().iter().map(|c| &c.adaptive_profile).collect();
     let split = VcSplit { adaptive: 2, escape_levels: 4, bonus_cards: true };
     let occupancy = ChannelOccupancy::new(0.006, 60.0, 6);
     let serial = batch_blocking_delays(split, &occupancy, &profiles, 12.0, 1);
@@ -41,20 +39,16 @@ fn pool_determinism_across_all_three_parallel_paths() {
         let pooled = batch_blocking_delays(split, &occupancy, &profiles, 12.0, threads);
         assert_eq!(serial, pooled, "blocking sums, threads = {threads}");
     }
-    // …and the pool agrees with the spawn-per-call baseline it replaced
-    let spawned = spawn_ordered(3, &profiles, |_, profile| {
-        total_blocking_delay(split, &occupancy, profile, 12.0)
-    });
-    assert_eq!(serial, spawned);
 
     // 3. spectrum build: per-cycle-type path-DAG construction
-    let reference = DestinationSpectrum::new(6);
+    let reference = TraversalSpectrum::star(6);
     for threads in [0usize, 3] {
-        let pooled = DestinationSpectrum::with_threads(6, threads);
+        let pooled = TraversalSpectrum::star_with_threads(6, threads);
         assert_eq!(reference.classes().len(), pooled.classes().len());
         for (a, b) in reference.classes().iter().zip(pooled.classes()) {
-            assert_eq!(a.cycle_type, b.cycle_type, "spectrum, threads = {threads}");
-            assert_eq!(a.profile.hop_adaptivity, b.profile.hop_adaptivity);
+            assert_eq!(a.representative, b.representative, "spectrum, threads = {threads}");
+            assert_eq!(a.count, b.count);
+            assert_eq!(a.adaptive_profile, b.adaptive_profile);
         }
     }
 }

@@ -5,11 +5,11 @@
 //! test, so a regression fails `cargo test` even if doctests are skipped.
 
 use star_wormhole::{
-    replicate_seed, AnalyticalModel, CiTarget, ConfigError, DeterministicMinimal, Discipline,
-    EnhancedNbc, Evaluator as _, Hypercube, ModelBackend, ModelConfig, ModelParams, ModelResult,
-    NHop, Nbc, Permutation, ReplicateStats, Ring, RoutingAlgorithm, RunReport, Scenario,
-    SimBackend, SimBudget, SimConfig, SpectrumModel, StarGraph, SweepRunner, SweepSpec, Topology,
-    TopologyKind, TopologyProperties, Torus, TrafficPattern, TraversalSpectrum,
+    replicate_seed, CiTarget, DeterministicMinimal, Discipline, EnhancedNbc, Evaluator as _,
+    Hypercube, ModelBackend, ModelParams, ModelParamsError, NHop, Nbc, Permutation, ReplicateStats,
+    Ring, RoutingAlgorithm, RunReport, Scenario, SimBackend, SimBudget, SimConfig, SpectrumModel,
+    SpectrumResult, StarGraph, SweepRunner, SweepSpec, Topology, TopologyKind, TopologyProperties,
+    Torus, TrafficPattern, TraversalSpectrum, WireScenario,
 };
 
 /// The root doc example, restated: the documented sweep must solve
@@ -23,16 +23,9 @@ fn root_doc_example_sweep_solves_unsaturated() {
     assert!(report.estimates.iter().all(|e| !e.saturated));
     let curve = report.latency_curve();
     assert!(curve.windows(2).all(|w| w[0] < w[1]));
-    // the classic single-point entry keeps working too
-    let result: ModelResult = AnalyticalModel::new(
-        ModelConfig::builder()
-            .symbols(5)
-            .virtual_channels(9)
-            .message_length(32)
-            .traffic_rate(0.005)
-            .build(),
-    )
-    .solve();
+    // the single-point entry straight into the core model keeps working too
+    let params = ModelParams { virtual_channels: 9, traffic_rate: 0.005, ..Default::default() };
+    let result: SpectrumResult = SpectrumModel::for_topology(params, &StarGraph::new(5)).solve();
     assert!(!result.saturated, "the documented quickstart point must be below saturation");
     assert!(result.mean_latency.is_finite());
     assert!(result.mean_latency > 32.0 + result.mean_distance);
@@ -56,7 +49,7 @@ fn evaluator_reexports_compose() {
     let sim = SimBackend::new(SimBudget::Quick).with_ci_target(CiTarget::new(0.2));
     assert!(sim.supports(&Scenario::hypercube(3)));
     // the topology-plugin surface travels through the facade: a torus
-    // scenario answered by the generic spectrum model, no closed form
+    // scenario answered by the spectrum model over a BFS census
     let torus = Scenario::torus(4).with_message_length(16);
     assert!(model.supports(&torus));
     let params: ModelParams = torus.model_params(0.002).expect("valid pairing").expect("modelled");
@@ -71,10 +64,14 @@ fn evaluator_reexports_compose() {
     assert!(stats.ci95 > 0.0);
     assert_ne!(replicate_seed(7, 0), replicate_seed(7, 1));
     assert_eq!(RunReport::csv_header().split(',').count(), 10);
-    // non-panicking validation travels through the facade
-    let err: ConfigError =
-        ModelConfig::builder().symbols(12).try_build().expect_err("S12 is out of model range");
-    assert!(err.to_string().contains("S_12"));
+    // non-panicking validation travels through the facade: S12 is refused
+    // before any topology is built, S2 by the model's size range
+    let err = WireScenario::checked(TopologyKind::Star, 12, Discipline::EnhancedNbc, 8, 32)
+        .expect_err("S12 is out of model range");
+    assert!(err.to_string().contains("size 12"), "{err}");
+    let err: ModelParamsError =
+        Scenario::star(2).model_params(0.001).expect_err("S2 is out of model range");
+    assert!(err.to_string().contains("S_2"), "{err}");
 }
 
 /// Every module alias documented in the crate root must resolve.
@@ -85,7 +82,7 @@ fn module_aliases_resolve() {
     let layout = star_wormhole::routing::VirtualChannelLayout { adaptive: 2, escape_levels: 4 };
     assert_eq!(layout.total(), 6);
     let _ = star_wormhole::sim::TrafficPattern::Uniform;
-    let _ = star_wormhole::model::RoutingDiscipline::EnhancedNbc;
+    let _ = star_wormhole::model::ModelDiscipline::EnhancedNbc;
     let _ = star_wormhole::workloads::SimBudget::Quick;
 }
 

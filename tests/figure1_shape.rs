@@ -4,15 +4,16 @@
 //! testbed.  These are model-only (no simulation), so they run in
 //! milliseconds.
 
-use star_wormhole::model::{saturation_rate, sweep_traffic, ModelConfig};
+use star_wormhole::workloads::model_saturation_rate;
+use star_wormhole::{Evaluator as _, ModelBackend, PointEstimate, Scenario};
 
-fn s5(v: usize, m: usize) -> ModelConfig {
-    ModelConfig::builder()
-        .symbols(5)
-        .virtual_channels(v)
-        .message_length(m)
-        .traffic_rate(0.001)
-        .build()
+fn s5(v: usize, m: usize) -> Scenario {
+    Scenario::star(5).with_virtual_channels(v).with_message_length(m)
+}
+
+/// The model's latency curve over `rates`, warm-started rate to rate.
+fn sweep(scenario: &Scenario, rates: &[f64]) -> Vec<PointEstimate> {
+    ModelBackend::new().evaluate_sweep(scenario, rates)
 }
 
 #[test]
@@ -20,40 +21,40 @@ fn latency_curves_are_flat_then_knee_then_saturate() {
     // The canonical latency-vs-load shape: near-constant at light load, a
     // knee, then divergence.
     let rates: Vec<f64> = (1..=30).map(|i| 0.001 * i as f64).collect();
-    let points = sweep_traffic(s5(6, 32), &rates);
-    let zero_load = points[0].result.mean_latency;
+    let points = sweep(&s5(6, 32), &rates);
+    let zero_load = points[0].mean_latency;
     // light-load region: within 25% of the zero-load latency
-    assert!(points[2].result.mean_latency < zero_load * 1.25);
+    assert!(points[2].mean_latency < zero_load * 1.25);
     // the curve eventually saturates
-    assert!(points.iter().any(|p| p.result.saturated));
+    assert!(points.iter().any(|p| p.saturated));
     // and just before saturation the latency has at least doubled
-    let last_finite = points.iter().rev().find(|p| !p.result.saturated).unwrap();
-    assert!(last_finite.result.mean_latency > zero_load * 1.5);
+    let last_finite = points.iter().rev().find(|p| !p.saturated).unwrap();
+    assert!(last_finite.mean_latency > zero_load * 1.5);
 }
 
 #[test]
 fn more_virtual_channels_never_hurt_and_push_saturation_right() {
     let rates: Vec<f64> = (1..=12).map(|i| 0.0012 * i as f64).collect();
-    let v6 = sweep_traffic(s5(6, 32), &rates);
-    let v9 = sweep_traffic(s5(9, 32), &rates);
-    let v12 = sweep_traffic(s5(12, 32), &rates);
+    let v6 = sweep(&s5(6, 32), &rates);
+    let v9 = sweep(&s5(9, 32), &rates);
+    let v12 = sweep(&s5(12, 32), &rates);
     for ((a, b), c) in v6.iter().zip(&v9).zip(&v12) {
-        if !a.result.saturated && !b.result.saturated {
-            assert!(b.result.mean_latency <= a.result.mean_latency + 1e-6);
+        if !a.saturated && !b.saturated {
+            assert!(b.mean_latency <= a.mean_latency + 1e-6);
         }
-        if !b.result.saturated && !c.result.saturated {
-            assert!(c.result.mean_latency <= b.result.mean_latency + 1e-6);
+        if !b.saturated && !c.saturated {
+            assert!(c.mean_latency <= b.mean_latency + 1e-6);
         }
     }
-    let sat6 = saturation_rate(s5(6, 32), 0.02);
-    let sat12 = saturation_rate(s5(12, 32), 0.02);
+    let sat6 = model_saturation_rate(&s5(6, 32), 0.02);
+    let sat12 = model_saturation_rate(&s5(12, 32), 0.02);
     assert!(sat12 >= sat6 * 0.95, "V=12 must not saturate earlier than V=6");
 }
 
 #[test]
 fn doubling_message_length_roughly_halves_the_saturation_rate() {
-    let sat32 = saturation_rate(s5(6, 32), 0.02);
-    let sat64 = saturation_rate(s5(6, 64), 0.02);
+    let sat32 = model_saturation_rate(&s5(6, 32), 0.02);
+    let sat64 = model_saturation_rate(&s5(6, 64), 0.02);
     let ratio = sat32 / sat64;
     assert!(
         (1.6..=2.6).contains(&ratio),
@@ -64,11 +65,11 @@ fn doubling_message_length_roughly_halves_the_saturation_rate() {
 #[test]
 fn m64_curve_sits_above_m32_curve() {
     let rates: Vec<f64> = (1..=8).map(|i| 0.0008 * i as f64).collect();
-    let m32 = sweep_traffic(s5(9, 32), &rates);
-    let m64 = sweep_traffic(s5(9, 64), &rates);
+    let m32 = sweep(&s5(9, 32), &rates);
+    let m64 = sweep(&s5(9, 64), &rates);
     for (a, b) in m32.iter().zip(&m64) {
-        if !a.result.saturated && !b.result.saturated {
-            assert!(b.result.mean_latency > a.result.mean_latency + 25.0);
+        if !a.saturated && !b.saturated {
+            assert!(b.mean_latency > a.mean_latency + 25.0);
         }
     }
 }
@@ -77,13 +78,8 @@ fn m64_curve_sits_above_m32_curve() {
 fn zero_load_latency_is_message_length_plus_mean_distance_for_every_figure_configuration() {
     for &v in &[6usize, 9, 12] {
         for &m in &[32usize, 64] {
-            let config = ModelConfig::builder()
-                .symbols(5)
-                .virtual_channels(v)
-                .message_length(m)
-                .traffic_rate(0.0)
-                .build();
-            let r = star_wormhole::AnalyticalModel::new(config).solve();
+            let estimate = ModelBackend::new().evaluate(&s5(v, m).at(0.0));
+            let r = estimate.model_result().expect("a model answer");
             assert!((r.mean_latency - (m as f64 + r.mean_distance)).abs() < 1e-6);
         }
     }
@@ -96,16 +92,11 @@ fn network_size_scaling_is_monotone() {
     let mut last_latency = 0.0;
     let mut last_sat = f64::INFINITY;
     for n in 4..=6usize {
-        let cfg = ModelConfig::builder()
-            .symbols(n)
-            .virtual_channels(6)
-            .message_length(32)
-            .traffic_rate(0.0)
-            .build();
-        let zero = star_wormhole::AnalyticalModel::new(cfg).solve().mean_latency;
+        let scenario = Scenario::star(n);
+        let zero = ModelBackend::new().evaluate(&scenario.at(0.0)).mean_latency;
         assert!(zero > last_latency);
         last_latency = zero;
-        let sat = saturation_rate(cfg, 0.02);
+        let sat = model_saturation_rate(&scenario, 0.02);
         assert!(sat < last_sat, "S{n} must saturate at a lower per-node rate");
         last_sat = sat;
     }

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use star_wormhole::{
-    AnalyticalModel, EnhancedNbc, ModelConfig, ReplicateReport, ReplicateRun, SimConfig, StarGraph,
-    Topology as _, TrafficPattern,
+    EnhancedNbc, ModelParams, ReplicateReport, ReplicateRun, SimConfig, SpectrumModel,
+    SpectrumResult, StarGraph, Topology as _, TrafficPattern,
 };
 
 /// Replicates per simulated operating point.
@@ -33,16 +33,14 @@ fn simulate(symbols: usize, v: usize, m: usize, rate: f64, seed_base: u64) -> Re
     ReplicateRun::new(topology, routing, config, TrafficPattern::Uniform, REPLICATES).run()
 }
 
-fn model(symbols: usize, v: usize, m: usize, rate: f64) -> star_wormhole::ModelResult {
-    AnalyticalModel::new(
-        ModelConfig::builder()
-            .symbols(symbols)
-            .virtual_channels(v)
-            .message_length(m)
-            .traffic_rate(rate)
-            .build(),
-    )
-    .solve()
+fn model(symbols: usize, v: usize, m: usize, rate: f64) -> SpectrumResult {
+    let params = ModelParams {
+        virtual_channels: v,
+        message_length: m,
+        traffic_rate: rate,
+        ..ModelParams::default()
+    };
+    SpectrumModel::for_topology(params, &StarGraph::new(symbols)).solve()
 }
 
 #[test]

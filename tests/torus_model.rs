@@ -1,7 +1,7 @@
 //! Cross-validation of the generic traversal-spectrum model against the
-//! flit-level simulator on the torus — a topology no closed-form model in
-//! this workspace covers, so every analytical answer here flows through the
-//! BFS census of `TraversalSpectrum` and the `SpectrumModel` solver.  The
+//! flit-level simulator on the torus — a topology with no closed-form
+//! spectrum in this workspace, so every analytical answer here flows through
+//! the BFS census of `TraversalSpectrum` and the `SpectrumModel` solver.  The
 //! same operating point answered by both backends must agree within the
 //! tolerance bands of the star and hypercube validations (10% at light
 //! load, 25% at moderate load), for the adaptive scheme and the
@@ -103,7 +103,7 @@ fn both_backends_show_latency_growth_with_load_on_the_torus() {
 
 #[test]
 fn warm_started_torus_sweep_equals_cold_start() {
-    // the warm-start contract carried over from the closed-form paths: same
+    // the warm-start contract of every spectrum: same
     // fixed points (to solver tolerance), strictly fewer total iterations.
     // The grid clusters just below the saturation knee — far below it the
     // torus fixed point barely moves between rates and a warm seed saves
